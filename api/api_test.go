@@ -376,3 +376,25 @@ func TestJobStatusValidation(t *testing.T) {
 		t.Error("unknown state accepted")
 	}
 }
+
+// TestLegacyFieldsDecode: documents written before the scan engine
+// replaced the CPU schedulers still pass strict decode — a request
+// naming any retired scheduler, and a report carrying the
+// snapshot_seconds timing nothing emits any more.
+func TestLegacyFieldsDecode(t *testing.T) {
+	for _, sched := range []string{"auto", "snapshot", "sharded"} {
+		req := `{"schema": 1, "dataset": {"path": "rep.ms", "format": "ms"}, "params": {"grid_size": 12, "threads": 2, "scheduler": "` + sched + `"}}`
+		got, err := DecodeScanRequest([]byte(req))
+		if err != nil {
+			t.Fatalf("scheduler %q: %v", sched, err)
+		}
+		if err := CheckScheduler(got.Params.Scheduler); err != nil {
+			t.Errorf("scheduler %q: %v", sched, err)
+		}
+	}
+	rep := `{"schema": 1, "backend": "cpu", "results": [], "omega_scores": 0, "r2_computed": 0, "r2_reused": 0,
+		"timing": {"ld_seconds": 0.1, "omega_seconds": 0.2, "snapshot_seconds": 0.01, "wall_seconds": 0.4}}`
+	if _, err := DecodeScanReport([]byte(rep)); err != nil {
+		t.Errorf("report with snapshot_seconds: %v", err)
+	}
+}

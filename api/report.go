@@ -33,7 +33,9 @@ type Timing struct {
 	// phases (modeled device time on accelerator backends).
 	LDSeconds    float64 `json:"ld_seconds"`
 	OmegaSeconds float64 `json:"omega_seconds"`
-	// SnapshotSeconds is the snapshot scheduler's copy overhead.
+	// SnapshotSeconds is never emitted: the snapshot scheduler that
+	// measured it is retired. It stays decodable so reports written by
+	// earlier versions still pass strict decode.
 	SnapshotSeconds float64 `json:"snapshot_seconds,omitempty"`
 	// WallSeconds is the measured wall-clock time of the scan.
 	WallSeconds float64 `json:"wall_seconds"`
@@ -64,7 +66,7 @@ type ScanReport struct {
 	Results []ResultRow `json:"results"`
 	// OmegaScores / R2Computed / R2Reused / R2Duplicated are the work
 	// counters (Table III throughput numerators; R2Duplicated counts
-	// shard-boundary recomputation by the sharded scheduler).
+	// the r² recomputed at CPU shard and streamed-chunk boundaries).
 	OmegaScores  int64 `json:"omega_scores"`
 	R2Computed   int64 `json:"r2_computed"`
 	R2Reused     int64 `json:"r2_reused"`

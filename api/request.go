@@ -3,6 +3,8 @@ package api
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // ScanParams is the wire form of a scan configuration. Enum-valued
@@ -23,8 +25,11 @@ type ScanParams struct {
 	// Backend selects the engine: "cpu", "gpu-sim", "fpga-sim"
 	// ("" = cpu).
 	Backend string `json:"backend,omitempty"`
-	// Scheduler selects the CPU multithreading scheduler: "auto",
-	// "snapshot", "sharded" ("" = auto).
+	// Scheduler is ignored: the CPU backend has one scan engine, which
+	// Threads parallelizes. Requests written for earlier versions still
+	// decode — "", "auto", "snapshot" and "sharded" are accepted
+	// (CheckScheduler) — but the field selects nothing and
+	// omegago.ParamsFromConfig never emits it.
 	Scheduler string `json:"scheduler,omitempty"`
 	// OmegaKernel selects the CPU ω kernel: "auto", "scalar",
 	// "blocked" ("" = auto).
@@ -38,6 +43,20 @@ type ScanParams struct {
 	UseGEMMLD bool `json:"gemm_ld,omitempty"`
 	// ChunkSNPs bounds SNP rows per streamed chunk (streamed scans).
 	ChunkSNPs int `json:"chunk_snps,omitempty"`
+}
+
+// legacySchedulers are the spellings the retired scheduler field and
+// the CLI's -sched flag accepted.
+var legacySchedulers = []string{"auto", "snapshot", "sharded"}
+
+// CheckScheduler validates a ScanParams.Scheduler (or -sched) value:
+// "" or one of the spellings earlier versions accepted. The value
+// selects nothing; the check keeps a misspelling an error.
+func CheckScheduler(name string) error {
+	if name == "" || slices.Contains(legacySchedulers, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown scheduler %q (want %s)", name, strings.Join(legacySchedulers, ", "))
 }
 
 // DatasetRef names the dataset of a scan request in exactly one of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io/fs"
 
 	"omegago/api"
@@ -48,7 +49,6 @@ func (r *Report) APIReport(label, datasetHash string) api.ScanReport {
 		Timing: &api.Timing{
 			LDSeconds:          r.LDSeconds,
 			OmegaSeconds:       r.OmegaSeconds,
-			SnapshotSeconds:    r.SnapshotSeconds,
 			WallSeconds:        r.WallSeconds,
 			StreamLoadSeconds:  r.StreamLoadSeconds,
 			StreamStallSeconds: r.StreamStallSeconds,
@@ -109,10 +109,10 @@ func ConfigFromParams(p api.ScanParams) (Config, error) {
 			return Config{}, err
 		}
 	}
-	if p.Scheduler != "" {
-		if cfg.Sched, err = ParseScheduler(p.Scheduler); err != nil {
-			return Config{}, err
-		}
+	// The scheduler field selects nothing; it is still validated so a
+	// misspelling is an error.
+	if err := api.CheckScheduler(p.Scheduler); err != nil {
+		return Config{}, fmt.Errorf("omegago: %w", err)
 	}
 	if cfg.OmegaKernel, err = ParseOmegaKernel(p.OmegaKernel); err != nil {
 		return Config{}, err
@@ -137,9 +137,6 @@ func ParamsFromConfig(c Config) api.ScanParams {
 	}
 	if c.Backend != BackendCPU {
 		p.Backend = c.Backend.String()
-	}
-	if c.Sched != SchedAuto {
-		p.Scheduler = c.Sched.String()
 	}
 	if c.OmegaKernel != OmegaKernelAuto {
 		p.OmegaKernel = c.OmegaKernel.String()

@@ -40,17 +40,20 @@ func TestRegistrySymmetry(t *testing.T) {
 		}
 	})
 	t.Run("scheduler", func(t *testing.T) {
-		for _, name := range schedNames.Names() {
-			s, err := ParseScheduler(name)
+		// The retired scheduler names still parse — and all normalize to
+		// the one engine, so ParamsFromConfig never emits the field.
+		for _, name := range []string{"", "auto", "snapshot", "sharded"} {
+			cfg, err := ConfigFromParams(api.ScanParams{Scheduler: name, Threads: 3})
 			if err != nil {
-				t.Fatalf("ParseScheduler(%q): %v", name, err)
+				t.Fatalf("ConfigFromParams(scheduler %q): %v", name, err)
 			}
-			if got := s.String(); got != name {
-				t.Errorf("ParseScheduler(%q).String() = %q", name, got)
+			if got := ParamsFromConfig(cfg); got != (api.ScanParams{Threads: 3}) {
+				t.Errorf("scheduler %q normalized to %+v", name, got)
 			}
 		}
-		if _, err := ParseScheduler("roundrobin"); err == nil {
-			t.Error("ParseScheduler(roundrobin) succeeded")
+		if _, err := ConfigFromParams(api.ScanParams{Scheduler: "roundrobin"}); err == nil ||
+			!strings.Contains(err.Error(), "auto, snapshot, sharded") {
+			t.Errorf("scheduler roundrobin: err = %v, want one naming the accepted values", err)
 		}
 	})
 	t.Run("omega-kernel", func(t *testing.T) {
@@ -89,7 +92,6 @@ func TestValidateExecOptions(t *testing.T) {
 		{"negative threads", Config{Threads: -1}, ErrBadExecOption},
 		{"negative batch workers", Config{BatchWorkers: -2}, ErrBadExecOption},
 		{"negative kernel nthr", Config{KernelNthr: -5}, ErrBadExecOption},
-		{"scheduler out of range", Config{Sched: Scheduler(99)}, ErrBadExecOption},
 		{"kernel out of range", Config{OmegaKernel: OmegaKernel(99)}, ErrBadExecOption},
 		{"negative chunk", Config{ChunkSNPs: -1}, ErrBadGrid},
 		{"negative grid", Config{GridSize: -1}, ErrBadGrid},
@@ -107,7 +109,7 @@ func TestValidateExecOptions(t *testing.T) {
 			}
 		})
 	}
-	if err := (Config{Threads: 8, Sched: SchedSharded, OmegaKernel: OmegaKernelBlocked, KernelNthr: 100}).Validate(); err != nil {
+	if err := (Config{Threads: 8, OmegaKernel: OmegaKernelBlocked, KernelNthr: 100}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -164,7 +166,6 @@ func TestParamsConfigRoundTrip(t *testing.T) {
 		MaxWindow:      50000,
 		MaxSNPsPerSide: 10,
 		Backend:        "fpga-sim",
-		Scheduler:      "sharded",
 		OmegaKernel:    "blocked",
 		KernelNthr:     42,
 		Threads:        3,

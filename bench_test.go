@@ -161,7 +161,7 @@ func BenchmarkFig14WorkloadSplit(b *testing.B) {
 			var st omega.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+				_, s, err := omega.Scan(context.Background(), a, w.Params(), ld.Direct, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func BenchmarkTable3Throughput(b *testing.B) {
 			var st omega.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+				_, s, err := omega.Scan(context.Background(), a, w.Params(), ld.Direct, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,7 +196,8 @@ func BenchmarkTable3Throughput(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4Multithreaded sweeps the thread counts of Table IV.
+// BenchmarkTable4Multithreaded sweeps the thread counts of Table IV
+// through the resident scan engine.
 func BenchmarkTable4Multithreaded(b *testing.B) {
 	w := harness.Workloads(true)[1]
 	a, err := w.Alignment()
@@ -207,7 +208,7 @@ func BenchmarkTable4Multithreaded(b *testing.B) {
 		b.Run(benchName(threads), func(b *testing.B) {
 			var st omega.Stats
 			for i := 0; i < b.N; i++ {
-				_, s, err := omega.ScanParallel(a, w.Params(), ld.Direct, threads)
+				_, s, err := omega.Scan(context.Background(), a, w.Params(), ld.Direct, threads, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,38 +224,44 @@ func benchName(threads int) string {
 	return map[int]string{1: "1thread", 2: "2threads", 3: "3threads", 4: "4threads", 8: "8threads"}[threads]
 }
 
-// BenchmarkScanSharded compares the snapshot scheduler (ScanParallel,
-// whose single producer computes all LD serially) against the sharded
-// scheduler (per-shard DP matrices, fully parallel LD) on a grid where
-// LD dominates: 1024 samples make each r² a 16-word popcount while
-// MaxSNPsPerSide caps the ω nested loop, the regime of the paper's
-// Fig. 14 LD-heavy workloads. The snapshot scheduler cannot beat its
-// serial LD floor however many workers it has; sharding can.
-func BenchmarkScanSharded(b *testing.B) {
-	a := benchDataset(b, 1500, 1024, 1601)
-	p := omega.Params{GridSize: 32, MaxWindow: 40000, MaxSNPsPerSide: 50}
-	for _, threads := range []int{1, 4, 8} {
-		b.Run("snapshot/"+benchName(threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := omega.ScanParallel(a, p, ld.Direct, threads); err != nil {
-					b.Fatal(err)
+// parallelShapes are the BenchmarkScanParallel workloads: an LD-heavy
+// grid (1024 samples make each r² a 16-word popcount while
+// MaxSNPsPerSide caps the ω nested loop — the paper's Fig. 14 LD-heavy
+// regime) and two ω-heavy ones (16 samples, every window spanning the
+// whole alignment, so shard boundaries are full triangles and nearly
+// all the remaining work is ω).
+var parallelShapes = []struct {
+	name                string
+	snps, samples, seed int
+	p                   omega.Params
+}{
+	{"ld-heavy/g32", 1500, 1024, 1601, omega.Params{GridSize: 32, MaxWindow: 40000, MaxSNPsPerSide: 50}},
+	{"omega-heavy/g24", 500, 16, 1602, omega.Params{GridSize: 24, MaxWindow: 1e6}},
+	{"omega-heavy/g200", 500, 16, 1602, omega.Params{GridSize: 200, MaxWindow: 1e6}},
+}
+
+// BenchmarkScanParallel measures the resident scan engine at 1, 2 and 4
+// threads on LD-heavy and ω-heavy shapes, reporting the share of r²
+// recomputed at shard boundaries (dup%) that the cost-balanced
+// partition trades for parallelism.
+func BenchmarkScanParallel(b *testing.B) {
+	for _, shape := range parallelShapes {
+		a := benchDataset(b, shape.snps, shape.samples, int64(shape.seed))
+		for _, threads := range []int{1, 2, 4} {
+			b.Run(shape.name+"/"+benchName(threads), func(b *testing.B) {
+				var st omega.Stats
+				for i := 0; i < b.N; i++ {
+					_, s, err := omega.Scan(context.Background(), a, shape.p, ld.Direct, threads, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					st = s
 				}
-			}
-		})
-		b.Run("sharded/"+benchName(threads), func(b *testing.B) {
-			var st omega.Stats
-			for i := 0; i < b.N; i++ {
-				s, stats, err := omega.ScanSharded(a, p, ld.Direct, threads)
-				if err != nil {
-					b.Fatal(err)
+				if st.R2Computed > 0 {
+					b.ReportMetric(100*float64(st.R2Duplicated)/float64(st.R2Computed), "dup%")
 				}
-				_ = s
-				st = stats
-			}
-			if st.R2Computed > 0 {
-				b.ReportMetric(100*float64(st.R2Duplicated)/float64(st.R2Computed), "dup%")
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -8,22 +8,32 @@ import (
 	"time"
 
 	"omegago"
+	"omegago/api"
 )
 
 // cancelCases enumerates every execution path that must honour context
-// cancellation: the CPU backend under both schedulers and both thread
-// shapes, and the two simulated accelerators.
+// cancellation: the CPU scan engine serial and sharded at several thread
+// counts, the engine under a config decoded from a request that still
+// names the retired snapshot scheduler, and the two simulated
+// accelerators.
 func cancelCases() []struct {
 	name string
 	cfg  omegago.Config
 } {
+	legacy, err := omegago.ConfigFromParams(api.ScanParams{
+		GridSize: 120, MaxWindow: 60000, Threads: 2, Scheduler: "snapshot",
+	})
+	if err != nil {
+		panic(err)
+	}
 	return []struct {
 		name string
 		cfg  omegago.Config
 	}{
 		{"cpu/serial", omegago.Config{GridSize: 120, MaxWindow: 60000}},
-		{"cpu/snapshot", omegago.Config{GridSize: 120, MaxWindow: 60000, Threads: 3, Sched: omegago.SchedSnapshot}},
-		{"cpu/sharded", omegago.Config{GridSize: 120, MaxWindow: 60000, Threads: 3, Sched: omegago.SchedSharded}},
+		{"cpu/snapshot", legacy},
+		{"cpu/sharded", omegago.Config{GridSize: 120, MaxWindow: 60000, Threads: 3}},
+		{"cpu/8threads", omegago.Config{GridSize: 120, MaxWindow: 60000, Threads: 8}},
 		{"gpu-sim", omegago.Config{GridSize: 120, MaxWindow: 60000, Backend: omegago.BackendGPU}},
 		{"fpga-sim", omegago.Config{GridSize: 120, MaxWindow: 60000, Backend: omegago.BackendFPGA}},
 	}
@@ -48,7 +58,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 }
 
 // TestScanContextPreCancelled: a context that is already cancelled must
-// abort every backend and scheduler before any result is assembled, and
+// abort every backend and thread count before any result is assembled, and
 // leave no goroutines behind.
 func TestScanContextPreCancelled(t *testing.T) {
 	ds, err := omegago.Simulate(omegago.SimConfig{

@@ -116,8 +116,9 @@ func TestCLIPipeline(t *testing.T) {
 		t.Error("GPU backend CLI scan diverged")
 	}
 
-	// 8. CPU-only flags on an accelerator backend warn on stderr instead
-	// of being swallowed silently.
+	// 8. CPU-only flags on an accelerator backend, and the deprecated
+	// -sched anywhere, warn on stderr instead of being swallowed
+	// silently.
 	warned := run("omegago", "-input", msPath, "-length", "200000",
 		"-grid", "10", "-maxwin", "40000", "-quiet", "-top", "1",
 		"-backend", "fpga", "-sched", "sharded", "-threads", "4")

@@ -9,7 +9,7 @@
 //	omegago -input data.ms -format ms -length 1000000 -grid 200 -maxwin 20000
 //	omegago -input chr1.vcf -format vcf -grid 1000 -minwin 1000 -maxwin 50000
 //	omegago -input aln.fa -format fasta -backend gpu -threads 4
-//	omegago -input data.ms -threads 8 -sched sharded -trace scan.trace
+//	omegago -input data.ms -threads 8 -trace scan.trace
 //	omegago -input chr1.bitmat -format bitmat -stream -maxwin 50000
 //
 // With -stream the input is scanned out-of-core: chunks of SNP rows are
@@ -19,11 +19,11 @@
 // for the whole-chromosome walkthrough and cmd/convert for producing
 // bitmat files.
 //
-// Multithreaded CPU scans pick a scheduler with -sched: "snapshot"
-// (one producer slides the DP matrix, workers score snapshots),
-// "sharded" (per-shard DP matrices, LD and ω both parallel), or
-// "auto" (sharded once the grid has ≥ 4 regions per thread). Results
-// are identical across schedulers; see docs/ARCHITECTURE.md.
+// Multithreaded CPU scans cut the grid — with -stream, each chunk — into
+// -threads cost-balanced shards, each sliding its own DP matrix, so LD
+// and ω both run in parallel. Results are identical at every thread
+// count; see docs/ARCHITECTURE.md. The -sched flag is deprecated: its
+// values are still accepted, with a warning, and ignored.
 //
 // Backends: cpu (default), gpu (simulated Tesla K80 / Radeon HD8750M),
 // fpga (simulated Alveo U200 / ZCU102). Accelerator backends print the
@@ -76,8 +76,8 @@ func main() {
 		grid        = flag.Int("grid", 100, "number of ω positions")
 		minwin      = flag.Float64("minwin", 0, "minimum window span in bp")
 		maxwin      = flag.Float64("maxwin", 0, "maximum border distance from the ω position in bp (0 = unbounded)")
-		threads     = flag.Int("threads", 1, "CPU threads (cpu backend)")
-		sched       = flag.String("sched", "auto", "CPU multithreading scheduler: snapshot, sharded, auto")
+		threads     = flag.Int("threads", 1, "CPU threads (cpu backend): parallel shards of the grid, or of each chunk with -stream")
+		sched       = flag.String("sched", "auto", "deprecated and ignored (accepts auto, snapshot, sharded); -threads alone sets the parallelism")
 		omegaKernel = flag.String("omega-kernel", "auto", "CPU ω kernel: scalar, blocked, auto (per-region dispatch)")
 		kernelNthr  = flag.Int("kernel-nthr", 0, "auto ω-kernel dispatch threshold in border combinations per region (0 = built-in default)")
 		backend     = flag.String("backend", "cpu", "backend: cpu, gpu, fpga")
@@ -229,10 +229,14 @@ func main() {
 		ChunkSNPs:  *chunkSNPs,
 		KernelNthr: *kernelNthr,
 	}
-	cfg.Sched, err = omegago.ParseScheduler(strings.ToLower(*sched))
-	if err != nil {
+	if err := api.CheckScheduler(strings.ToLower(*sched)); err != nil {
 		fatalf(exitUsage, "%v", err)
 	}
+	flag.Visit(func(fl *flag.Flag) {
+		if fl.Name == "sched" {
+			log.Printf("warning: -sched is deprecated and ignored; -threads alone sets the parallelism")
+		}
+	})
 	cfg.OmegaKernel, err = omegago.ParseOmegaKernel(strings.ToLower(*omegaKernel))
 	if err != nil {
 		fatalf(exitUsage, "%v", err)
@@ -332,7 +336,7 @@ func main() {
 	if cfg.Backend != omegago.BackendCPU {
 		set := map[string]bool{}
 		flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-		for _, name := range []string{"sched", "gemm-ld", "omega-kernel"} {
+		for _, name := range []string{"gemm-ld", "omega-kernel"} {
 			if set[name] {
 				log.Printf("warning: -%s only applies to the cpu backend; ignored with -backend %s", name, *backend)
 			}
@@ -554,6 +558,9 @@ func main() {
 		site := "shard"
 		if rep.StreamChunks > 0 {
 			site = "chunk"
+			if cfg.Threads > 1 {
+				site = "chunk and shard"
+			}
 		}
 		dup = fmt.Sprintf(", %s duplicated at %s boundaries", stats.FormatSI(float64(rep.R2Duplicated)), site)
 	}
@@ -563,12 +570,8 @@ func main() {
 		stats.FormatSI(float64(rep.R2Computed)),
 		stats.FormatSI(float64(rep.R2Reused)), dup)
 	if rep.Backend == omegago.BackendCPU {
-		snap := ""
-		if rep.SnapshotSeconds > 0 {
-			snap = fmt.Sprintf(", snapshot %.3fs", rep.SnapshotSeconds)
-		}
-		fmt.Printf("# measured: LD %.3fs, ω %.3fs%s, wall %.3fs (%s ω/s)\n",
-			rep.LDSeconds, rep.OmegaSeconds, snap, rep.WallSeconds,
+		fmt.Printf("# measured: LD %.3fs, ω %.3fs, wall %.3fs (%s ω/s)\n",
+			rep.LDSeconds, rep.OmegaSeconds, rep.WallSeconds,
 			stats.FormatSI(float64(rep.OmegaScores)/rep.OmegaSeconds))
 		if rep.OmegaKernelScalar+rep.OmegaKernelBlocked > 0 {
 			fmt.Printf("# ω kernel dispatch: %d scalar, %d blocked regions\n",

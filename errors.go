@@ -27,8 +27,8 @@ var (
 	// assume a resident alignment.
 	ErrStreamUnsupported = errors.New("omegago: streaming requires BackendCPU")
 	// ErrBadExecOption marks execution options a scan cannot run with:
-	// negative thread or worker counts, a Scheduler or OmegaKernel value
-	// outside the registered sets, a negative KernelNthr. Like
+	// negative thread or worker counts, an OmegaKernel value outside the
+	// registered set, a negative KernelNthr. Like
 	// ErrBadGrid it classifies as configuration (CLI exit 4, HTTP 400).
 	ErrBadExecOption = errors.New("omegago: invalid execution option")
 	// ErrBadCalibration marks a calibration table that cannot be used: a
@@ -42,7 +42,7 @@ var (
 // ErrBadExecOption, ErrUnknownBackend or ErrBadCalibration) for
 // errors.Is dispatch. Every field of Config that can be invalid is
 // covered: grid geometry and chunking map to ErrBadGrid, execution
-// knobs (Threads, Sched, OmegaKernel, KernelNthr, BatchWorkers) to
+// knobs (Threads, OmegaKernel, KernelNthr, BatchWorkers) to
 // ErrBadExecOption, the backend to ErrUnknownBackend, and calibration
 // tables to ErrBadCalibration — so the CLI and the omegad service
 // classify the same mistake identically. Scan, ScanContext and
@@ -76,9 +76,6 @@ func (c Config) Validate() error {
 	}
 	if c.KernelNthr < 0 {
 		return fmt.Errorf("%w: KernelNthr %d < 0", ErrBadExecOption, c.KernelNthr)
-	}
-	if !schedNames.Valid(c.Sched) {
-		return fmt.Errorf("%w: Sched %v", ErrBadExecOption, c.Sched)
 	}
 	if !omega.KindNames.Valid(c.OmegaKernel) {
 		return fmt.Errorf("%w: OmegaKernel %v", ErrBadExecOption, c.OmegaKernel)

@@ -3,9 +3,11 @@ package omegago_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"omegago"
+	"omegago/api"
 	"omegago/internal/exec"
 )
 
@@ -43,17 +45,18 @@ func TestObsParseBackendSymmetry(t *testing.T) {
 	}
 }
 
+// TestObsParseSchedulerSymmetry: the scheduler check the CLI's -sched
+// flag and the wire scheduler field share accepts exactly the retired
+// names — so saved configs keep parsing — and rejects anything else,
+// naming the accepted values.
 func TestObsParseSchedulerSymmetry(t *testing.T) {
-	for _, s := range []omegago.Scheduler{
-		omegago.SchedAuto, omegago.SchedSnapshot, omegago.SchedSharded,
-	} {
-		got, err := omegago.ParseScheduler(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseScheduler(%q) = %v, %v", s.String(), got, err)
+	for _, name := range []string{"", "auto", "snapshot", "sharded"} {
+		if err := api.CheckScheduler(name); err != nil {
+			t.Errorf("CheckScheduler(%q) = %v", name, err)
 		}
 	}
-	if _, err := omegago.ParseScheduler("bogus"); err == nil {
-		t.Error("ParseScheduler(bogus) succeeded")
+	if err := api.CheckScheduler("bogus"); err == nil || !strings.Contains(err.Error(), "auto, snapshot, sharded") {
+		t.Errorf("CheckScheduler(bogus) = %v, want an error naming the accepted values", err)
 	}
 }
 

@@ -73,27 +73,33 @@ func TestGoldenScanRegression(t *testing.T) {
 	}
 
 	// The pinned values must also hold bit-identically through every
-	// backend in the execution registry (plus the CPU scheduler and LD
-	// engine variants): one table-driven loop replaces the per-backend
+	// backend in the execution registry (plus the CPU thread-count,
+	// streamed and LD engine variants): one table-driven loop replaces the per-backend
 	// comparisons, and a backend added to the registry later joins the
 	// contract automatically via the exec.Backends() sweep below.
 	p := Config{GridSize: 25, MinWindow: 4000, MaxWindow: 50000}.params().WithDefaults()
+	src, err := NewDatasetSource(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	regCases := []struct {
 		name    string
 		backend string
 		opts    exec.Options
 	}{
 		{"cpu/serial", "cpu", exec.Options{}},
-		{"cpu/snapshot-3threads", "cpu", exec.Options{Threads: 3, Sched: exec.SchedSnapshot}},
-		{"cpu/sharded-3threads", "cpu", exec.Options{Threads: 3, Sched: exec.SchedSharded}},
+		{"cpu/2threads", "cpu", exec.Options{Threads: 2}},
+		{"cpu/sharded-3threads", "cpu", exec.Options{Threads: 3}},
+		{"cpu/8threads", "cpu", exec.Options{Threads: 8}},
+		{"cpu/stream-3threads", "cpu", exec.Options{Threads: 3, Stream: src, ChunkSNPs: 120}},
 		{"cpu/gemm-ld", "cpu", exec.Options{UseGEMMLD: true}},
-		// ω-kernel variants: each forced kernel, alone and under both
-		// parallel schedulers, plus auto pushed down each dispatch path
+		// ω-kernel variants: each forced kernel, alone and at two thread
+		// counts, plus auto pushed down each dispatch path
 		// via the Nthr override — all must reproduce the golden results.
 		{"cpu/kernel-scalar", "cpu", exec.Options{OmegaKernel: OmegaKernelScalar}},
 		{"cpu/kernel-blocked", "cpu", exec.Options{OmegaKernel: OmegaKernelBlocked}},
-		{"cpu/kernel-blocked/snapshot", "cpu", exec.Options{OmegaKernel: OmegaKernelBlocked, Threads: 3, Sched: exec.SchedSnapshot}},
-		{"cpu/kernel-blocked/sharded", "cpu", exec.Options{OmegaKernel: OmegaKernelBlocked, Threads: 3, Sched: exec.SchedSharded}},
+		{"cpu/kernel-blocked/2threads", "cpu", exec.Options{OmegaKernel: OmegaKernelBlocked, Threads: 2}},
+		{"cpu/kernel-blocked/sharded", "cpu", exec.Options{OmegaKernel: OmegaKernelBlocked, Threads: 3}},
 		{"cpu/kernel-auto/all-blocked", "cpu", exec.Options{OmegaKernel: OmegaKernelAuto, OmegaNthr: 1}},
 		{"cpu/kernel-auto/all-scalar", "cpu", exec.Options{OmegaKernel: OmegaKernelAuto, OmegaNthr: 1 << 30}},
 		{"gpu-sim", "gpu-sim", exec.Options{}},

@@ -11,30 +11,12 @@ import (
 
 func init() { Register(cpuBackend{}) }
 
-// cpuBackend runs the reference OmegaPlus algorithm on the host,
-// dispatching to the snapshot or sharded scheduler when multithreaded.
+// cpuBackend runs the reference OmegaPlus algorithm on the host through
+// the omega scan engine: resident or streamed, with Threads
+// cost-balanced shards (per chunk when streaming).
 type cpuBackend struct{}
 
 func (cpuBackend) Name() string { return "cpu" }
-
-// UseSharded resolves a Scheduler to a concrete strategy for a grid and
-// thread count. Auto picks sharded once the grid holds at least four
-// regions per worker — enough regions per shard that the boundary
-// triangle each shard recomputes is amortized by the relocation reuse
-// inside the shard.
-func UseSharded(s Scheduler, gridSize, threads int) bool {
-	if threads <= 1 {
-		return false
-	}
-	switch s {
-	case SchedSharded:
-		return true
-	case SchedSnapshot:
-		return false
-	default:
-		return gridSize >= 4*threads
-	}
-}
 
 func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, opts Options) (*Output, error) {
 	p = p.WithDefaults()
@@ -53,44 +35,18 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 		threads = 1
 	}
 	t0 := time.Now()
-	if opts.Stream != nil {
-		// Out-of-core path: regions are scanned serially chunk by chunk
-		// with parsing double-buffered against compute; Threads feeds the
-		// LD stage's workers instead of a grid scheduler.
-		results, st, sst, err := omega.ScanStream(ctx, opts.Stream, p, engine, threads, opts.ChunkSNPs, opts.Meter)
-		if err != nil {
-			return nil, err
-		}
-		return &Output{
-			Results: results,
-			Stats: Stats{
-				Grid:                 st.Grid,
-				OmegaScores:          st.OmegaScores,
-				R2Computed:           st.R2Computed,
-				R2Reused:             st.R2Reused,
-				R2Duplicated:         st.R2Duplicated,
-				LDSeconds:            st.LDTime.Seconds(),
-				OmegaSeconds:         st.OmegaTime.Seconds(),
-				WallSeconds:          time.Since(t0).Seconds(),
-				OmegaKernelScalar:    st.KernelScalar,
-				OmegaKernelBlocked:   st.KernelBlocked,
-				StreamChunks:         sst.Chunks,
-				StreamBytesRead:      sst.BytesRead,
-				StreamCompressedSNPs: sst.CompressedSNPs,
-				StreamLoadSeconds:    sst.LoadTime.Seconds(),
-				StreamStallSeconds:   sst.StallTime.Seconds(),
-			},
-		}, nil
-	}
 	var (
 		results []omega.Result
 		st      omega.Stats
+		sst     omega.StreamStats
 		err     error
 	)
-	if UseSharded(opts.Sched, p.GridSize, threads) {
-		results, st, err = omega.ScanShardedCtx(ctx, a, p, engine, threads, opts.Meter)
+	if opts.Stream != nil {
+		// Out-of-core path: chunks are scanned in order with parsing
+		// double-buffered against compute.
+		results, st, sst, err = omega.ScanStream(ctx, opts.Stream, p, engine, threads, opts.ChunkSNPs, opts.Meter)
 	} else {
-		results, st, err = omega.ScanParallelCtx(ctx, a, p, engine, threads, opts.Meter)
+		results, st, err = omega.Scan(ctx, a, p, engine, threads, opts.Meter)
 	}
 	if err != nil {
 		return nil, err
@@ -98,17 +54,21 @@ func (cpuBackend) Scan(ctx context.Context, a *seqio.Alignment, p omega.Params, 
 	return &Output{
 		Results: results,
 		Stats: Stats{
-			Grid:               st.Grid,
-			OmegaScores:        st.OmegaScores,
-			R2Computed:         st.R2Computed,
-			R2Reused:           st.R2Reused,
-			R2Duplicated:       st.R2Duplicated,
-			LDSeconds:          st.LDTime.Seconds(),
-			OmegaSeconds:       st.OmegaTime.Seconds(),
-			SnapshotSeconds:    st.SnapshotTime.Seconds(),
-			WallSeconds:        time.Since(t0).Seconds(),
-			OmegaKernelScalar:  st.KernelScalar,
-			OmegaKernelBlocked: st.KernelBlocked,
+			Grid:                 st.Grid,
+			OmegaScores:          st.OmegaScores,
+			R2Computed:           st.R2Computed,
+			R2Reused:             st.R2Reused,
+			R2Duplicated:         st.R2Duplicated,
+			LDSeconds:            st.LDTime.Seconds(),
+			OmegaSeconds:         st.OmegaTime.Seconds(),
+			WallSeconds:          time.Since(t0).Seconds(),
+			OmegaKernelScalar:    st.KernelScalar,
+			OmegaKernelBlocked:   st.KernelBlocked,
+			StreamChunks:         sst.Chunks,
+			StreamBytesRead:      sst.BytesRead,
+			StreamCompressedSNPs: sst.CompressedSNPs,
+			StreamLoadSeconds:    sst.LoadTime.Seconds(),
+			StreamStallSeconds:   sst.StallTime.Seconds(),
 		},
 	}, nil
 }

@@ -31,32 +31,14 @@ import (
 	"omegago/internal/seqio"
 )
 
-// Scheduler selects how the CPU backend parallelizes a multithreaded
-// scan. Accelerator backends ignore it.
-type Scheduler int
-
-const (
-	// SchedAuto picks SchedSharded when the grid is large enough to
-	// amortize the per-shard boundary recomputation (grid ≥ 4·threads),
-	// and SchedSnapshot otherwise.
-	SchedAuto Scheduler = iota
-	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
-	// (omega.ScanParallel).
-	SchedSnapshot
-	// SchedSharded partitions the grid into contiguous shards with a
-	// private DP matrix each (omega.ScanSharded).
-	SchedSharded
-)
-
 // Options carries every engine tunable through the uniform Scan call.
 // Fields irrelevant to a backend are ignored by it (the CLI warns when
 // a user sets a CPU-only flag on an accelerator backend).
 type Options struct {
-	// Threads parallelizes the CPU backend across grid positions and the
-	// GPU backend's host-side LD unpacking (default 1).
+	// Threads parallelizes the CPU backend — cost-balanced shards of the
+	// grid, per chunk when streaming — and the GPU backend's host-side
+	// LD unpacking (default 1).
 	Threads int
-	// Sched selects the CPU multithreading scheduler (default SchedAuto).
-	Sched Scheduler
 	// UseGEMMLD batches CPU-backend LD through the cache-blocked
 	// triangular bit-matrix GEMM (gemm.PopcountTrapezoid): the DP fill
 	// hands whole trapezoids of fresh pairs to one packed popcount
@@ -113,17 +95,14 @@ type Stats struct {
 	OmegaScores int64 // ω values computed (Table III numerators)
 	R2Computed  int64 // fresh r² values (Equation 1 evaluations)
 	R2Reused    int64 // DP cells preserved by relocation (Equation 3 reuse)
-	// R2Duplicated counts r² recomputed at shard boundaries by the CPU
-	// sharded scheduler (a subset of R2Computed); zero otherwise.
+	// R2Duplicated counts r² recomputed at CPU shard and streamed-chunk
+	// boundaries (a subset of R2Computed); zero otherwise.
 	R2Duplicated int64
 
 	// Phase times in seconds. For the CPU backend these are measured;
 	// for accelerator backends they are modeled device times.
 	LDSeconds    float64
 	OmegaSeconds float64
-	// SnapshotSeconds is the snapshot-copy overhead of the CPU snapshot
-	// scheduler (kept out of LDSeconds; see omega.Stats).
-	SnapshotSeconds float64
 	// WallSeconds is the measured host wall-clock of the engine run.
 	WallSeconds float64
 
@@ -188,7 +167,6 @@ func (s *Stats) Add(other Stats) {
 	s.R2Duplicated += other.R2Duplicated
 	s.LDSeconds += other.LDSeconds
 	s.OmegaSeconds += other.OmegaSeconds
-	s.SnapshotSeconds += other.SnapshotSeconds
 	s.WallSeconds += other.WallSeconds
 	s.KernelILaunches += other.KernelILaunches
 	s.KernelIILaunches += other.KernelIILaunches

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"omegago/internal/harness"
 	"omegago/internal/ld"
 	"omegago/internal/obs"
 	"omegago/internal/omega"
+	"omegago/internal/seqio"
 )
 
 func testParams() omega.Params {
@@ -52,7 +54,7 @@ func TestBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams()
-	ref, _, err := omega.Scan(a, p, ld.Direct, 1)
+	ref, _, err := omega.Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,26 +97,73 @@ func TestBackendCancellation(t *testing.T) {
 	}
 }
 
-// TestCPUSchedulerSelection pins the auto-scheduler threshold the CPU
-// adapter applies (sharded at grid ≥ 4·threads).
+// shardCounter counts the engine's per-shard summary spans.
+type shardCounter struct {
+	mu     sync.Mutex
+	shards int
+}
+
+func (c *shardCounter) OnProgress(obs.Progress) {}
+
+func (c *shardCounter) OnPhase(ph obs.Phase) {
+	if strings.HasPrefix(ph.Name, "shard ") {
+		c.mu.Lock()
+		c.shards++
+		c.mu.Unlock()
+	}
+}
+
+// TestCPUSchedulerSelection pins how the CPU adapter routes Threads to
+// the one scan engine: up to one thread scans serially (no shard spans,
+// no duplication); more cut a resident grid into min(Threads, grid)
+// shards, and a streamed scan into that many shards per chunk — with
+// results identical on every route.
 func TestCPUSchedulerSelection(t *testing.T) {
+	a, err := harness.Dataset(300, 24, 161803)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := omega.Params{GridSize: 6, MaxWindow: 20000}.WithDefaults()
+	ref, _, err := omega.Scan(context.Background(), a, p, ld.Direct, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := Lookup("cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		sched   Scheduler
-		grid    int
-		threads int
-		want    bool
+		threads    int
+		stream     bool
+		wantShards int // per chunk when streaming
 	}{
-		{SchedAuto, 16, 4, true},
-		{SchedAuto, 15, 4, false},
-		{SchedAuto, 100, 1, false},
-		{SchedSharded, 2, 8, true},
-		{SchedSharded, 100, 1, false},
-		{SchedSnapshot, 100, 8, false},
+		{0, false, 0}, {1, false, 0}, {4, false, 4}, {8, false, 6},
+		{1, true, 0}, {3, true, 3},
 	}
 	for _, c := range cases {
-		if got := UseSharded(c.sched, c.grid, c.threads); got != c.want {
-			t.Errorf("UseSharded(%v, grid=%d, threads=%d) = %v, want %v",
-				c.sched, c.grid, c.threads, got, c.want)
+		opts := Options{Threads: c.threads}
+		if c.stream {
+			if opts.Stream, err = seqio.NewAlignmentSource(a); err != nil {
+				t.Fatal(err)
+			}
+			opts.ChunkSNPs = 1 << 20 // one chunk
+		}
+		sc := &shardCounter{}
+		opts.Meter = obs.NewMeter("cpu", p.GridSize, sc, nil)
+		out, err := be.Scan(context.Background(), a, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.shards != c.wantShards {
+			t.Errorf("threads=%d stream=%v: %d shard spans, want %d", c.threads, c.stream, sc.shards, c.wantShards)
+		}
+		if c.wantShards == 0 && out.Stats.R2Duplicated != 0 {
+			t.Errorf("threads=%d stream=%v: serial route duplicated %d cells", c.threads, c.stream, out.Stats.R2Duplicated)
+		}
+		for i := range ref {
+			if out.Results[i] != ref[i] {
+				t.Fatalf("threads=%d stream=%v: result[%d] = %+v, want %+v", c.threads, c.stream, i, out.Results[i], ref[i])
+			}
 		}
 	}
 }
@@ -122,14 +171,14 @@ func TestCPUSchedulerSelection(t *testing.T) {
 // TestStatsAdd checks the batch aggregation covers every counter.
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Grid: 1, OmegaScores: 2, R2Computed: 3, R2Reused: 4, R2Duplicated: 5,
-		LDSeconds: 1, OmegaSeconds: 2, SnapshotSeconds: 3, WallSeconds: 4,
+		LDSeconds: 1, OmegaSeconds: 2, WallSeconds: 4,
 		KernelILaunches: 6, KernelIILaunches: 7, OrderSwitches: 8, BytesTransferred: 9,
 		HardwareOmegas: 10, SoftwareOmegas: 11, Cycles: 12,
 		OmegaKernelScalar: 13, OmegaKernelBlocked: 14}
 	sum := a
 	sum.Add(a)
 	want := Stats{Grid: 2, OmegaScores: 4, R2Computed: 6, R2Reused: 8, R2Duplicated: 10,
-		LDSeconds: 2, OmegaSeconds: 4, SnapshotSeconds: 6, WallSeconds: 8,
+		LDSeconds: 2, OmegaSeconds: 4, WallSeconds: 8,
 		KernelILaunches: 12, KernelIILaunches: 14, OrderSwitches: 16, BytesTransferred: 18,
 		HardwareOmegas: 20, SoftwareOmegas: 22, Cycles: 24,
 		OmegaKernelScalar: 26, OmegaKernelBlocked: 28}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -263,7 +264,7 @@ func TestLaunchOmegaNilInput(t *testing.T) {
 func TestScanMatchesCPUScan(t *testing.T) {
 	a := testAlignment(t, 250, 40, 59)
 	p := omega.Params{GridSize: 15, MaxWindow: 80000}
-	cpuRes, cpuStats, err := omega.Scan(a, p, ld.Direct, 1)
+	cpuRes, cpuStats, err := omega.Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -315,7 +316,7 @@ func Profile(quick bool) (*Table, error) {
 	}
 	packSec := time.Since(t1).Seconds()
 
-	_, st, err := omega.Scan(a, w.Params(), ld.Direct, 1)
+	_, st, err := omega.Scan(context.Background(), a, w.Params(), ld.Direct, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +514,7 @@ func Table4(quick bool) (*Table, error) {
 	base := 0.0
 	for _, th := range threads {
 		t0 := time.Now()
-		_, st, err := omega.ScanParallel(a, p, ld.Direct, th)
+		_, st, err := omega.Scan(context.Background(), a, p, ld.Direct, th, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,6 @@
 // Package names is the one place enum-name resolution lives. The
-// public API exposes several small int-backed enums (backend,
-// scheduler, ω kernel) that must parse and print identically wherever
+// public API exposes several small int-backed enums (backend, ω
+// kernel, job kind) that must parse and print identically wherever
 // a name crosses a boundary: CLI flags, the api wire package, the
 // omegad service, and config echoes in reports. Before this package
 // each enum carried a hand-written String/Parse switch pair; drifting
@@ -11,10 +11,10 @@
 // value, matching the iota-dense enums it serves) plus optional parse
 // aliases, and derives both directions from that single table:
 //
-//	var schedNames = names.New[Scheduler]("scheduler", "Scheduler", "auto", "snapshot", "sharded")
+//	var backendNames = names.New[Backend]("backend", "Backend", "cpu", "gpu-sim", "fpga-sim")
 //
-//	func (s Scheduler) String() string          { return schedNames.String(s) }
-//	func ParseScheduler(n string) (Scheduler, error) { return schedNames.Parse(n) }
+//	func (b Backend) String() string             { return backendNames.String(b) }
+//	func ParseBackend(n string) (Backend, error) { return backendNames.Parse(n) }
 //
 // Parse∘String is the identity over every registered value by
 // construction; the symmetry tests at the repository root iterate the

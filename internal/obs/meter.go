@@ -286,20 +286,6 @@ func (m *Meter) Tick(scores, r2 int64) {
 	m.emit()
 }
 
-// AddR2 records r² progress that is not tied to a finished grid
-// position (the snapshot scheduler's producer advances LD ahead of the
-// ω workers) and emits a Progress event.
-func (m *Meter) AddR2(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.c.r2.Add(n)
-	if m.c.met != nil {
-		m.c.met.R2Computed.Add(n)
-	}
-	m.emit()
-}
-
 // Span records one completed phase of work: it feeds the per-phase
 // duration histogram and forwards a Phase event to the observer. args
 // may be nil (and should be, on per-region hot paths).

@@ -3,7 +3,7 @@
 // histograms), a Registry that exposes those metrics in Prometheus
 // text format and through expvar, and a Progress/Phase event stream
 // emitted at grid-position granularity by every execution backend
-// (the CPU schedulers, the simulated GPU, and the simulated FPGA).
+// (the CPU scan engine, the simulated GPU, and the simulated FPGA).
 //
 // The paper's whole evaluation is throughput measured over long scans
 // (ω scores/second, Tables III–V); this package is what makes those
@@ -31,9 +31,6 @@ const (
 	PhaseLD = "ld"
 	// PhaseOmega is the ω window enumeration (Equation 2).
 	PhaseOmega = "omega"
-	// PhaseSnapshot is the DP-matrix snapshot copy of the snapshot
-	// scheduler (scheduling overhead, kept out of the LD split).
-	PhaseSnapshot = "snapshot"
 	// PhaseStreamLoad is the chunk read/parse stage of the out-of-core
 	// streaming scanner (I/O that the double buffer hides behind
 	// compute; see omega.ScanStream).
@@ -105,7 +102,7 @@ type Phase struct {
 }
 
 // Observer receives live events from running scans. Implementations
-// MUST be safe for concurrent use: parallel CPU schedulers and
+// MUST be safe for concurrent use: parallel CPU scan shards and
 // ScanBatch worker pools invoke callbacks from many goroutines.
 //
 // Because concurrent emitters race to deliver their snapshots, two
@@ -114,8 +111,7 @@ type Phase struct {
 // counters, not in callback order. Single-threaded scans deliver
 // strictly monotone sequences.
 type Observer interface {
-	// OnProgress is called after every completed grid position (and on
-	// r² progress between positions for the snapshot scheduler).
+	// OnProgress is called after every completed grid position.
 	OnProgress(Progress)
 	// OnPhase is called when a span of work completes.
 	OnPhase(Phase)

@@ -199,8 +199,7 @@ func TestObsMeterProgress(t *testing.T) {
 	met := NewMetrics(reg)
 	m := NewMeter("cpu", 3, rec, met)
 	m.Tick(10, 100)
-	m.Tick(0, 0)
-	m.AddR2(50)
+	m.Tick(0, 50)
 	m.Tick(5, 25)
 	m.Done(nil)
 
@@ -257,7 +256,6 @@ func TestObsBatchMeterReplicates(t *testing.T) {
 func TestObsNilMeterIsNoop(t *testing.T) {
 	var m *Meter
 	m.Tick(1, 1)
-	m.AddR2(1)
 	m.Span("x", 0, time.Now(), time.Second, false, nil)
 	m.Done(nil)
 	if p := m.Snapshot(); p.GridDone != 0 {

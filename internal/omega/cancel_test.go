@@ -28,40 +28,51 @@ func cancelAlignment(t *testing.T, segSites, samples int, seed int64) *seqio.Ali
 	return a
 }
 
-// cancelScanners enumerates the scheduler entry points that must honour
-// ctx at region granularity.
+// cancelScanners enumerates the engine entry points that must honour
+// ctx at region granularity, resident and streamed.
 func cancelScanners(threads int) map[string]func(context.Context, *seqio.Alignment, Params, ld.Engine) ([]Result, Stats, error) {
+	stream := func(threads int) func(context.Context, *seqio.Alignment, Params, ld.Engine) ([]Result, Stats, error) {
+		return func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
+			src, err := seqio.NewAlignmentSource(a)
+			if err != nil {
+				return nil, Stats{}, err
+			}
+			results, st, _, err := ScanStream(ctx, src, p, e, threads, 60, nil)
+			return results, st, err
+		}
+	}
 	return map[string]func(context.Context, *seqio.Alignment, Params, ld.Engine) ([]Result, Stats, error){
 		"serial": func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
-			return ScanCtx(ctx, a, p, e, 1)
-		},
-		"snapshot": func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
-			return ScanParallelCtx(ctx, a, p, e, threads, nil)
+			return Scan(ctx, a, p, e, 1, nil)
 		},
 		"sharded": func(ctx context.Context, a *seqio.Alignment, p Params, e ld.Engine) ([]Result, Stats, error) {
-			return ScanShardedCtx(ctx, a, p, e, threads, nil)
+			return Scan(ctx, a, p, e, threads, nil)
 		},
+		"stream":         stream(1),
+		"stream-sharded": stream(threads),
 	}
 }
 
-// TestScanCancellation: a pre-cancelled context aborts every scheduler
-// with ctx.Err(), results nil, and all worker goroutines joined.
+// TestScanCancellation: a pre-cancelled context aborts every entry
+// point with ctx.Err(), results nil, and all worker goroutines joined.
 func TestScanCancellation(t *testing.T) {
 	a := cancelAlignment(t, 300, 24, 1111)
 	p := Params{GridSize: 40, MaxWindow: 30000}
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, scan := range cancelScanners(3) {
-		t.Run(name, func(t *testing.T) {
-			results, _, err := scan(ctx, a, p, ld.Direct)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if results != nil {
-				t.Fatal("non-nil results from a cancelled scan")
-			}
-		})
+	for _, threads := range []int{2, 3, 8} {
+		for name, scan := range cancelScanners(threads) {
+			t.Run(name, func(t *testing.T) {
+				results, _, err := scan(ctx, a, p, ld.Direct)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("threads=%d: err = %v, want context.Canceled", threads, err)
+				}
+				if results != nil {
+					t.Fatalf("threads=%d: non-nil results from a cancelled scan", threads)
+				}
+			})
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
@@ -77,18 +88,20 @@ func TestScanCancellation(t *testing.T) {
 func TestScanCancellationUnaffectedWhenUncancelled(t *testing.T) {
 	a := cancelAlignment(t, 300, 24, 2222)
 	p := Params{GridSize: 30, MaxWindow: 30000}
-	ref, _, err := Scan(a, p, ld.Direct, 1)
+	ref, _, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, scan := range cancelScanners(4) {
-		got, _, err := scan(context.Background(), a, p, ld.Direct)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: result[%d] diverges with a live context", name, i)
+	for _, threads := range []int{2, 3, 8} {
+		for name, scan := range cancelScanners(threads) {
+			got, _, err := scan(context.Background(), a, p, ld.Direct)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, threads, err)
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%s/%d: result[%d] diverges with a live context", name, threads, i)
+				}
 			}
 		}
 	}

@@ -37,9 +37,7 @@ func NewDPMatrix(c *ld.Computer) *DPMatrix {
 // NewDPMatrixScratch creates an empty matrix whose row storage and
 // recurrence staging buffer come from the scan-scoped scratch arena, so
 // steady-state Advance calls allocate nothing. The scratch must belong
-// to the same goroutine driving the matrix; snapshots taken from the
-// matrix remain valid for the scratch's lifetime (arena chunks are
-// never recycled mid-scan).
+// to the same goroutine driving the matrix.
 func NewDPMatrixScratch(c *ld.Computer, s *Scratch) *DPMatrix {
 	return &DPMatrix{comp: c, lo: 0, hi: -1, scratch: s}
 }
@@ -154,10 +152,8 @@ func (m *DPMatrix) WindowSum(j, i int) float64 { return m.At(i, j) }
 // window [Lo, Hi] of global SNP indices. ComputeOmega (Equation 2) and
 // BuildKernelInput (the accelerator buffer packing of Fig. 4/5) read
 // the LS/RS/TS sums of every border combination through this interface
-// with three At lookups each. Implemented by DPMatrix itself (serial
-// and sharded scans, which score against the live matrix) and by the
-// immutable View snapshots (the snapshot scheduler, OmegaPlus-G style,
-// where workers score while the producer advances the matrix).
+// with three At lookups each. Implemented by DPMatrix, which every scan
+// scores against live.
 type MatrixView interface {
 	// At returns M[i][j], the r² sum over all SNP pairs within the
 	// global index range [j, i] (Equation 3), for Lo ≤ j ≤ i ≤ Hi.
@@ -167,45 +163,3 @@ type MatrixView interface {
 	// Hi returns the last global SNP index covered by the view.
 	Hi() int
 }
-
-// View is an immutable snapshot of the matrix window. Snapshots stay
-// valid across later Advance calls (relocation re-bases the matrix's own
-// row headers; the underlying cell storage is written once), which lets
-// a producer thread slide the matrix while worker threads score earlier
-// regions — the coarse-grain parallelization of OmegaPlus-G.
-type View struct {
-	lo, hi int
-	rows   [][]float64
-}
-
-// Snapshot captures the current window as an immutable View. Only the
-// row-header slice is copied (cell storage is written once), so the
-// cost is O(rows), not O(cells); ScanParallel accounts it separately in
-// Stats.SnapshotTime to keep the Fig. 14 LD/ω split clean.
-func (m *DPMatrix) Snapshot() *View {
-	rows := make([][]float64, len(m.rows))
-	copy(rows, m.rows)
-	return &View{lo: m.lo, hi: m.hi, rows: rows}
-}
-
-// Lo returns the first covered global SNP index.
-func (v *View) Lo() int { return v.lo }
-
-// Hi returns the last covered global SNP index.
-func (v *View) Hi() int { return v.hi }
-
-// At returns M[i][j] for lo ≤ j ≤ i ≤ hi.
-func (v *View) At(i, j int) float64 {
-	if i < v.lo || i > v.hi || j < v.lo || j > i {
-		panic(fmt.Sprintf("omega: view M[%d][%d] outside window [%d,%d]", i, j, v.lo, v.hi))
-	}
-	return v.rows[i-v.lo][j-v.lo]
-}
-
-// rawRows exposes the matrix's row storage for the blocked kernel's
-// direct-indexing fast path (see rowsProvider).
-func (m *DPMatrix) rawRows() ([][]float64, int) { return m.rows, m.lo }
-
-// rawRows exposes the snapshot's row storage for the blocked kernel's
-// direct-indexing fast path (see rowsProvider).
-func (v *View) rawRows() ([][]float64, int) { return v.rows, v.lo }

@@ -7,13 +7,15 @@
 //
 // Entry points, all bit-identical in their Results:
 //
-//   - Scan / ScanCtx — the serial reference workflow.
-//   - ScanParallel / ScanSharded — the snapshot and work-sharded
-//     multithreaded schedulers (see shard.go for the boundary-triangle
-//     accounting that keeps the reuse counters honest).
+//   - Scan — the resident workflow: serial at one thread (the
+//     reference), cost-balanced shards with private DP matrices at more.
 //   - ScanStream — the out-of-core path: an seqio.ChunkSource delivers
-//     overlapping row chunks, double-buffered against compute, with
-//     only the live DP band resident (stream.go).
+//     overlapping row chunks, double-buffered against compute, each
+//     chunk sharded the same way with only its DP bands resident.
+//
+// Both drive one engine (engine.go): a single per-region loop and a
+// single partition/fan-out, with the boundary-triangle accounting that
+// keeps the reuse counters honest.
 //
 // The per-region ω evaluation itself is pluggable: a registry of
 // Kernel implementations (kernels.go — scalar reference, branch-free
@@ -208,12 +210,16 @@ func (r Region) borders(p Params) (lMax, lMin, rMin, rMax int, ok bool) {
 // the window constraints — the per-grid-position workload that drives
 // the GPU kernel selection threshold (Equation 4 of the paper).
 func CountOmegas(a *seqio.Alignment, reg Region, p Params) int64 {
-	p = p.WithDefaults()
+	return countOmegas(a.Positions, reg, p.WithDefaults())
+}
+
+// countOmegas is CountOmegas over a bare positions table, for params
+// that already carry their defaults.
+func countOmegas(pos []float64, reg Region, p Params) int64 {
 	lMax, lMin, rMin, rMax, ok := reg.borders(p)
 	if !ok {
 		return 0
 	}
-	pos := a.Positions
 	if p.MinWindow <= 0 {
 		return int64(lMax-lMin+1) * int64(rMax-rMin+1)
 	}

@@ -15,7 +15,7 @@ import (
 // per-grid-position max-reduction (Equation 2). Implementations must be
 // bit-identical to the scalar reference — same iteration order (left
 // borders descending outer, right borders ascending inner), same strict
-// `>` comparison — so that results match across kernels, schedulers and
+// `>` comparison — so that results match across kernels, thread counts and
 // backends by construction. The scratch is the caller's per-goroutine
 // working set; kernels may use any of its buffers but must not retain
 // them past the call.
@@ -68,6 +68,22 @@ func ParseKernelKind(name string) (KernelKind, error) {
 // blocked kernel's per-region panel packing (O(outer+inner)) does not
 // amortize; above it the branch-free inner loop wins.
 var DefaultNthr = 4096
+
+// Shard cost weights of the scan engine's partition (engine.go), in
+// tenths of a nanosecond: per fresh r² cell (Equation 1: a fixed part
+// plus one AND+popcount per 64-sample SNP word), per DP cell (the
+// Equation 3 recurrence) and per ω score (Equation 2). The one-word
+// point is the measurement ladder's omega-bound rung (16 samples):
+// ≈25 ns r² + ≈13 ns DP per cell against ≈5.3 ns per score. The word
+// slope, ≈1 ns, is a fresh DP fill from 1 to 64 words on the same
+// 2-vCPU Xeon. Only the ratios matter — they decide where shards are
+// cut, never what a scan computes.
+const (
+	costR2Cell    = 240
+	costR2PerWord = 10
+	costDPCell    = 130
+	costOmega     = 53
+)
 
 var (
 	kernelMu  sync.RWMutex
@@ -172,14 +188,6 @@ func (scalarKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Res
 	return res
 }
 
-// rowsProvider is the raw-storage fast path of the blocked kernel: both
-// DPMatrix and View expose their row-major cell storage, letting the
-// kernel read LS/RS/TS with direct indexing instead of three interface
-// At calls (each with bounds panics) per slot.
-type rowsProvider interface {
-	rawRows() (rows [][]float64, lo int)
-}
-
 // blockedKernel evaluates the region on flat packed panels, KernelInput
 // style: right-border sums RS, combination counts KR and widths RN are
 // packed once per region (the paper's LR/km buffers, Fig. 4/5), the
@@ -206,9 +214,12 @@ func (blockedKernel) Evaluate(s *Scratch, m MatrixView, reg Region, p Params) Re
 
 	var rows [][]float64
 	lo := 0
-	rp, raw := m.(rowsProvider)
+	// Fast path: read the live matrix's row-major cell storage with
+	// direct indexing instead of three interface At calls (each with
+	// bounds panics) per slot.
+	dm, raw := m.(*DPMatrix)
 	if raw {
-		rows, lo = rp.rawRows()
+		rows, lo = dm.rows, dm.lo
 	}
 
 	// Pack the right-border panels once per region.

@@ -1,6 +1,8 @@
 package omega
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,7 +18,7 @@ import (
 func scanWithKernel(t *testing.T, a *seqio.Alignment, p Params, kind KernelKind) ([]Result, Stats) {
 	t.Helper()
 	p.Kernel = kind
-	res, st, err := Scan(a, p, ld.Direct, 1)
+	res, st, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatalf("scan with kernel %v: %v", kind, err)
 	}
@@ -209,8 +211,8 @@ func TestKernelDispatchCounters(t *testing.T) {
 }
 
 // TestKernelsAcrossSchedulers: the forced blocked kernel must stay
-// bit-identical to the serial scalar reference under both parallel
-// schedulers.
+// bit-identical to the serial scalar reference on every engine path —
+// resident and streamed, at several thread counts.
 func TestKernelsAcrossSchedulers(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randomAlignment(rng, 80, 16, 20000)
@@ -218,17 +220,22 @@ func TestKernelsAcrossSchedulers(t *testing.T) {
 	ref, _ := scanWithKernel(t, a, p, KernelScalar)
 
 	p.Kernel = KernelBlocked
-	snap, _, err := ScanParallel(a, p, ld.Direct, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, threads := range []int{1, 2, 3, 8} {
+		got, _, err := Scan(context.Background(), a, p, ld.Direct, threads, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, ref, got, fmt.Sprintf("resident %d threads / blocked", threads))
+		src, err := seqio.NewAlignmentSource(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err = ScanStream(context.Background(), src, p, ld.Direct, threads, 30, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, ref, got, fmt.Sprintf("streamed %d threads / blocked", threads))
 	}
-	requireIdentical(t, ref, snap, "snapshot scheduler / blocked")
-
-	shard, _, err := ScanSharded(a, p, ld.Direct, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, shard, "sharded scheduler / blocked")
 }
 
 // TestScratchBuildKernelInputMatchesStandalone: the allocation-free

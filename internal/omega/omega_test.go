@@ -1,6 +1,7 @@
 package omega
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -442,7 +443,7 @@ func TestScanSerialOnSimulatedData(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(100000)
 	p := Params{GridSize: 20, MaxWindow: 20000}
-	results, st, err := Scan(a, p, ld.Direct, 1)
+	results, st, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,12 +475,12 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(50000)
 	p := Params{GridSize: 16, MaxWindow: 10000}
-	serial, stS, err := Scan(a, p, ld.Direct, 1)
+	serial, stS, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, threads := range []int{2, 3, 4} {
-		par, stP, err := ScanParallel(a, p, ld.Direct, threads)
+	for _, threads := range []int{2, 3, 4, 8} {
+		par, stP, err := Scan(context.Background(), a, p, ld.Direct, threads, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func TestScanDetectsSweep(t *testing.T) {
 	const L = 200000
 	a, _ := reps[0].ToAlignment(L)
 	p := Params{GridSize: 40, MaxWindow: 40000}
-	results, _, err := Scan(a, p, ld.Direct, 1)
+	results, _, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,19 +537,22 @@ func TestMaxResultEmpty(t *testing.T) {
 func TestScanParallelBadThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	a := randomAlignment(rng, 10, 8, 1000)
-	if _, _, err := ScanParallel(a, Params{GridSize: 2}, ld.Direct, 0); err == nil {
-		t.Error("0 threads should error")
+	for _, threads := range []int{0, -1} {
+		if _, _, err := Scan(context.Background(), a, Params{GridSize: 2}, ld.Direct, threads, nil); err == nil {
+			t.Errorf("%d threads should error", threads)
+		}
 	}
 }
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{Grid: 1, OmegaScores: 2, R2Computed: 3, R2Reused: 4, R2Duplicated: 5,
-		LDTime: 6, OmegaTime: 7, SnapshotTime: 8}
+		LDTime: 6, OmegaTime: 7, KernelScalar: 8, KernelBlocked: 9}
 	b := Stats{Grid: 10, OmegaScores: 20, R2Computed: 30, R2Reused: 40, R2Duplicated: 50,
-		LDTime: 60, OmegaTime: 70, SnapshotTime: 80}
+		LDTime: 60, OmegaTime: 70, KernelScalar: 80, KernelBlocked: 90}
 	a.Add(b)
 	if a.Grid != 11 || a.OmegaScores != 22 || a.R2Computed != 33 || a.R2Reused != 44 ||
-		a.R2Duplicated != 55 || a.LDTime != 66 || a.OmegaTime != 77 || a.SnapshotTime != 88 {
+		a.R2Duplicated != 55 || a.LDTime != 66 || a.OmegaTime != 77 ||
+		a.KernelScalar != 88 || a.KernelBlocked != 99 {
 		t.Errorf("Add wrong: %+v", a)
 	}
 }
@@ -631,21 +635,21 @@ func TestRegionSideCountsAndViewAccessors(t *testing.T) {
 	if m.WindowSum(3, 7) != m.At(7, 3) {
 		t.Error("WindowSum should alias At")
 	}
-	v := m.Snapshot()
-	if v.Lo() != 2 || v.Hi() != 9 {
-		t.Errorf("view window [%d,%d]", v.Lo(), v.Hi())
+	if m.Lo() != 2 || m.Hi() != 9 {
+		t.Errorf("matrix window [%d,%d], want [2,9]", m.Lo(), m.Hi())
 	}
+	// MatrixView accessors read the live matrix.
+	var v MatrixView = m
 	for i := 2; i <= 9; i++ {
 		for j := 2; j <= i; j++ {
-			if v.At(i, j) != m.At(i, j) {
+			if v.At(i, j) != m.WindowSum(j, i) {
 				t.Fatalf("view differs at (%d,%d)", i, j)
 			}
 		}
 	}
-	// Snapshot survives later relocation.
 	m.Advance(5, 11)
-	if v.At(4, 3) != v.At(4, 3) || v.Lo() != 2 {
-		t.Error("snapshot mutated by Advance")
+	if v.Lo() != 5 || v.Hi() != 11 {
+		t.Errorf("view window after Advance [%d,%d], want [5,11]", v.Lo(), v.Hi())
 	}
 	defer func() {
 		if recover() == nil {

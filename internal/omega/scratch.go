@@ -6,10 +6,7 @@ import (
 )
 
 // rowChunkFloats is the DP-row arena chunk size (256 KiB of float64).
-// Chunks are carved into rows front to back and never recycled within a
-// scan: View snapshots alias row storage (Snapshot copies headers only),
-// so a chunk may only be dropped with the whole Scratch, never reused
-// while a snapshot might still read it.
+// Chunks are carved into rows front to back.
 const rowChunkFloats = 32768
 
 // Scratch is the per-scan working set of the ω kernels: every buffer a
@@ -107,8 +104,7 @@ func (s *Scratch) freshBuf(n int) []float64 {
 }
 
 // allocRow carves an n-float row from the arena, starting a new chunk
-// when the current one is exhausted. Rows handed out are never reclaimed
-// during the scan (snapshot safety, see rowChunkFloats). Nil-safe.
+// when the current one is exhausted. Nil-safe.
 func (s *Scratch) allocRow(n int) []float64 {
 	if s == nil {
 		return make([]float64, n)

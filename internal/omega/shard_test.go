@@ -8,6 +8,7 @@ import (
 	"omegago/internal/ld"
 	"omegago/internal/mssim"
 	"omegago/internal/obs"
+	"omegago/internal/seqio"
 	"omegago/internal/trace"
 )
 
@@ -44,35 +45,87 @@ func TestPartitionRegionsInvariants(t *testing.T) {
 	}
 }
 
+// partitionRegions cuts a grid the way the engine does for one-word
+// rows without a MinWindow (the cost model never reads positions then).
+func partitionRegions(regions []Region, threads int) []shardSpan {
+	return partition(estimateCosts(regions, nil, Params{}.WithDefaults(), 64), threads)
+}
+
+// TestPartitionRegionsBalance pins the cost balance on the ω-heavy
+// wide-window shapes where a cells-only split fails: every window spans
+// the whole alignment, so each shard past the first pays a full
+// boundary triangle and nearly all the remaining work is ω. The most
+// expensive shard, boundary included, must stay within 1.25× the ideal
+// share of the partition's total estimated cost.
 func TestPartitionRegionsBalance(t *testing.T) {
-	// On a uniform grid the work split must be roughly even: no shard
-	// should carry more than twice the fair share of estimated cells.
-	rng := rand.New(rand.NewSource(42))
-	a := randomAlignment(rng, 400, 16, 100000)
-	p := Params{GridSize: 64, MaxWindow: 8000}.WithDefaults()
-	regions, err := BuildRegions(a, p)
+	reps, err := mssim.Simulate(mssim.Config{SampleSize: 16, Replicates: 1, SegSites: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := estimateCellWork(regions)
-	var total int64
-	for _, w := range work {
-		total += w
+	a, err := reps[0].ToAlignment(1e6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const threads = 4
-	spans := partitionRegions(regions, threads)
-	for _, sp := range spans {
-		var got int64
-		for i := sp.Lo; i < sp.Hi; i++ {
-			got += work[i]
+	for _, grid := range []int{24, 200} {
+		p := Params{GridSize: grid, MaxWindow: 1e6}.WithDefaults()
+		regions, err := BuildRegions(a, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got > total*2/threads {
-			t.Errorf("shard %+v holds %d of %d cells (> 2x fair share)", sp, got, total)
+		costs := estimateCosts(regions, a.Positions, p, a.Samples())
+		sc := newShardCoster(costs)
+		for _, threads := range []int{2, 3} {
+			spans := partition(costs, threads)
+			if len(spans) != threads {
+				t.Fatalf("grid=%d threads=%d: %d shards", grid, threads, len(spans))
+			}
+			var total, worst int64
+			for _, sp := range spans {
+				c := sc.cost(sp.Lo, sp.Hi)
+				total += c
+				worst = max(worst, c)
+			}
+			if ideal := float64(total) / float64(threads); float64(worst) > 1.25*ideal {
+				t.Errorf("grid=%d threads=%d: largest shard costs %.2f× the ideal share (spans %v)",
+					grid, threads, float64(worst)/ideal, spans)
+			}
 		}
 	}
 }
 
-// TestScanShardedMatchesSerial is the scheduler-equivalence contract:
+// TestEstimateCostsBoundaryMatchesScan: the boundary triangle the cost
+// model charges a shard is exactly the R2Duplicated the scan reports.
+func TestEstimateCostsBoundaryMatchesScan(t *testing.T) {
+	reps, err := mssim.Simulate(mssim.Config{SampleSize: 20, Replicates: 1, SegSites: 200, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := reps[0].ToAlignment(100000)
+	p := Params{GridSize: 24, MaxWindow: 15000}.WithDefaults()
+	regions, err := BuildRegions(a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := estimateCosts(regions, a.Positions, p, a.Samples())
+	cell := int64(costR2Cell + costR2PerWord*1 + costDPCell)
+	for _, threads := range []int{2, 3, 5} {
+		var want int64
+		for _, sp := range partition(costs, threads) {
+			if f := newShardCoster(costs).firstLive[sp.Lo]; f < sp.Hi {
+				want += costs[f].boundary / cell
+			}
+		}
+		_, st, err := Scan(context.Background(), a, p, ld.Direct, threads, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.R2Duplicated != want {
+			t.Errorf("threads=%d: scan duplicated %d cells, cost model charged %d", threads, st.R2Duplicated, want)
+		}
+	}
+}
+
+// TestScanShardedMatchesSerial is the thread-equivalence contract:
 // every field of every Result must be bit-identical to the serial scan,
 // at thread counts below, at, and above the grid size.
 func TestScanShardedMatchesSerial(t *testing.T) {
@@ -83,12 +136,12 @@ func TestScanShardedMatchesSerial(t *testing.T) {
 	a, _ := reps[0].ToAlignment(80000)
 	for _, gridSize := range []int{2, 5, 16} {
 		p := Params{GridSize: gridSize, MaxWindow: 12000}
-		serial, stS, err := Scan(a, p, ld.Direct, 1)
+		serial, stS, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 2, 3, 8} {
-			sharded, stP, err := ScanSharded(a, p, ld.Direct, threads)
+			sharded, stP, err := Scan(context.Background(), a, p, ld.Direct, threads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,11 +170,11 @@ func TestScanShardedGEMMEngine(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(60000)
 	p := Params{GridSize: 12, MaxWindow: 10000}
-	serial, _, err := Scan(a, p, ld.GEMM, 1)
+	serial, _, err := Scan(context.Background(), a, p, ld.GEMM, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := ScanSharded(a, p, ld.GEMM, 4)
+	sharded, _, err := Scan(context.Background(), a, p, ld.GEMM, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +195,7 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 	}
 	a, _ := reps[0].ToAlignment(100000)
 	p := Params{GridSize: 24, MaxWindow: 15000}
-	_, stS, err := Scan(a, p, ld.Direct, 1)
+	_, stS, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +203,7 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 		t.Fatalf("serial scan reported %d duplicated cells", stS.R2Duplicated)
 	}
 	for _, threads := range []int{2, 4, 6} {
-		_, stP, err := ScanSharded(a, p, ld.Direct, threads)
+		_, stP, err := Scan(context.Background(), a, p, ld.Direct, threads, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +220,15 @@ func TestScanShardedDuplicationAccounting(t *testing.T) {
 func TestScanShardedBadThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := randomAlignment(rng, 10, 8, 1000)
-	if _, _, err := ScanSharded(a, Params{GridSize: 2}, ld.Direct, 0); err == nil {
+	if _, _, err := Scan(context.Background(), a, Params{GridSize: 2}, ld.Direct, 0, nil); err == nil {
 		t.Error("0 threads should error")
+	}
+	src, err := seqio.NewAlignmentSource(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ScanStream(context.Background(), src, Params{GridSize: 2}, ld.Direct, 0, 0, nil); err == nil {
+		t.Error("0 threads should error on the streamed path")
 	}
 }
 
@@ -181,7 +241,7 @@ func TestScanShardedTraceSpans(t *testing.T) {
 	tr := trace.NewTracer()
 	const threads = 3
 	mt := obs.NewMeter("cpu", 12, tr, nil)
-	if _, _, err := ScanShardedCtx(context.Background(), a, Params{GridSize: 12, MaxWindow: 10000}, ld.Direct, threads, mt); err != nil {
+	if _, _, err := Scan(context.Background(), a, Params{GridSize: 12, MaxWindow: 10000}, ld.Direct, threads, mt); err != nil {
 		t.Fatal(err)
 	}
 	tracks := map[int]bool{}

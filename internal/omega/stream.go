@@ -58,12 +58,6 @@ type chunkSpan struct {
 	snpLo, snpHi int
 }
 
-// regionSkipped is the scan loops' shared emptiness test: such regions
-// produce a zero Result without touching the DP matrix.
-func regionSkipped(reg Region) bool {
-	return reg.Lo > reg.Hi || reg.K < reg.Lo || reg.K >= reg.Hi
-}
-
 // maxRegionSpan returns the widest region's SNP count — the minimum
 // chunk size that can hold any single region.
 func maxRegionSpan(regions []Region) int {
@@ -129,33 +123,31 @@ type loadedChunk struct {
 // ScanStream runs the OmegaPlus workflow out-of-core: the grid is laid
 // out from the source's positions table alone, regions are grouped into
 // chunks of at most chunkSNPs rows (0 = a default of four max-window
-// spans), and a loader goroutine reads chunk N+1 while the scan loop
-// runs LD/ω over chunk N — the double-buffered I/O/compute pipeline of
-// Beyer & Bientinesi applied to the paper's Fig. 3 workflow. Only the
-// live chunk's rows and DP band are resident.
+// spans), and a loader goroutine reads chunk N+1 while the engine runs
+// LD/ω over chunk N — the double-buffered I/O/compute pipeline of
+// Beyer & Bientinesi applied to the paper's Fig. 3 workflow. Each chunk
+// is scanned like a resident grid: cut into min(threads, regions)
+// cost-balanced shards scanned in parallel, so only the live chunk's
+// rows and one DP band per shard are resident.
 //
-// Results are bit-identical to the in-memory Scan on the same data, for
-// the same reason ScanSharded's are: DP cells do not depend on the
-// relocation history (each cell is the same Equation 3 recurrence over
-// the same Equation 1 r² values), so starting a fresh DP matrix at a
-// chunk boundary reproduces the serial cells exactly, and the kernels
-// read them in the same order. The boundary overlap each chunk
-// recomputes is reported in Stats.R2Duplicated, mirroring the sharded
-// scheduler's accounting.
+// Results are bit-identical to the resident Scan on the same data, for
+// the reason any shard's are (see engine.go): starting a fresh DP
+// matrix at a chunk or shard boundary reproduces the serial cells
+// exactly. The boundary overlap each chunk and shard recomputes is
+// reported in Stats.R2Duplicated, so R2Computed − R2Duplicated is the
+// serial count.
 //
-// The scan is serial over regions (chunks arrive in order; parallelism
-// comes from overlapping I/O with compute and from ldWorkers inside the
-// LD stage). ctx is checked between regions and between chunks; on
-// cancellation the loader is stopped and joined before returning, so no
-// goroutine outlives the call and src can be closed immediately after.
-func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.Engine, ldWorkers int, chunkSNPs int, mt *obs.Meter) ([]Result, Stats, StreamStats, error) {
+// ctx is checked between regions and between chunks; on cancellation
+// the loader is stopped and joined before returning, so no goroutine
+// outlives the call and src can be closed immediately after.
+func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.Engine, threads int, chunkSNPs int, mt *obs.Meter) ([]Result, Stats, StreamStats, error) {
 	meta := src.Meta()
 	regions, err := BuildRegionsFromPositions(meta.Positions, p)
 	if err != nil {
 		return nil, Stats{}, StreamStats{}, err
 	}
 	p = p.WithDefaults()
-	krn, err := kernelFor(p)
+	e, err := newEngine(regions, meta.Positions, meta.Samples, p, threads, mt)
 	if err != nil {
 		return nil, Stats{}, StreamStats{}, err
 	}
@@ -167,9 +159,9 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 	}
 	spans := planChunks(regions, chunkSNPs)
 
-	// Loader: reads one chunk ahead of the scan loop. The channel is
+	// Loader: reads one chunk ahead of the engine. The channel is
 	// unbuffered, so the loader blocks with chunk N+1 ready while the
-	// scanner works on chunk N — exactly one chunk of look-ahead, the
+	// engine works on chunk N — exactly one chunk of look-ahead, the
 	// classic double buffer. stop lets the scanner abandon a blocked
 	// send on early return; loaderDone joins the goroutine so the
 	// source is never used after ScanStream returns.
@@ -206,12 +198,8 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 		<-loaderDone
 	}()
 
-	results := make([]Result, len(regions))
 	var st Stats
 	var sst StreamStats
-	var sc *Scratch // shared across chunks; re-pointed at each chunk's positions
-	prevHi := -1    // Hi of the last non-empty region scanned (global)
-	var prevR2 int64
 	for {
 		tw := time.Now()
 		l, ok := <-ch
@@ -228,78 +216,22 @@ func ScanStream(ctx context.Context, src seqio.ChunkSource, p Params, engine ld.
 		sst.LoadTime += l.dur
 		mt.Span(obs.PhaseStreamLoad, 1, tw.Add(-l.dur), l.dur, false, nil)
 
-		var m *DPMatrix
-		firstInChunk := true
-		for i := l.span.regLo; i < l.span.regHi; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, st, sst, err
-			}
-			reg := regions[i]
-			st.Grid++
-			if regionSkipped(reg) {
-				results[i] = Result{GridIndex: reg.Index, Center: reg.Center}
-				mt.Tick(0, 0)
-				continue
-			}
-			if m == nil {
-				// First non-empty region of the chunk: bring up the
-				// chunk-local LD computer and DP matrix.
-				if sc == nil {
-					sc = NewScratch(l.a, p)
-				} else {
-					sc.pos = l.a.Positions
-				}
-				m = NewDPMatrixScratch(ld.NewComputer(l.a, engine, ldWorkers), sc)
-			}
-			if firstInChunk {
-				// Boundary triangle a serial matrix would have relocated
-				// instead of recomputing — same accounting as scanShard.
-				st.R2Duplicated += triangleCells(prevHi - reg.Lo + 1)
-				firstInChunk = false
-			}
-			// Shift to chunk-local SNP indices: the chunk alignment's row r
-			// is global row snpLo+r, and its Positions slice is the global
-			// table offset by snpLo, so positions stay globally correct.
-			local := reg
-			local.Lo -= l.span.snpLo
-			local.Hi -= l.span.snpLo
-			local.K -= l.span.snpLo
-
-			t0 := time.Now()
-			m.Advance(local.Lo, local.Hi)
-			dLD := time.Since(t0)
-			st.LDTime += dLD
-			mt.Span(obs.PhaseLD, 0, t0, dLD, false, nil)
-
-			t1 := time.Now()
-			res := krn.Evaluate(sc, m, local, p)
-			dOmega := time.Since(t1)
-			st.OmegaTime += dOmega
-			mt.Span(obs.PhaseOmega, 0, t1, dOmega, false, nil)
-			if res.Valid {
-				// Border indices come out chunk-local; positions are
-				// already global (see the shift note above).
-				res.LeftBorder += l.span.snpLo
-				res.RightBorder += l.span.snpLo
-			}
-			st.OmegaScores += res.Scores
-			results[i] = res
-			prevHi = reg.Hi
-			r2 := st.R2Computed + m.R2Computed()
-			mt.Tick(res.Scores, r2-prevR2)
-			prevR2 = r2
+		// The chunk alignment's row r is global row snpLo+r, and its
+		// Positions slice is the global table offset by snpLo, so
+		// positions stay globally correct while indices shift. A chunk
+		// without live regions (an all-empty grid) has no rows.
+		var comp *ld.Computer
+		if l.a != nil {
+			comp = ld.NewComputer(l.a, engine, 1)
 		}
-		if m != nil {
-			st.R2Computed += m.R2Computed()
-			st.R2Reused += m.R2Reused()
+		cst, err := e.scan(ctx, l.a, comp, l.span.snpLo, l.span.regLo, l.span.regHi)
+		st.Add(cst)
+		if err != nil {
+			return nil, st, sst, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, sst, err
 	}
-	if sc != nil {
-		st.KernelScalar = sc.ScalarRegions
-		st.KernelBlocked = sc.BlockedRegions
-	}
-	return results, st, sst, nil
+	return e.results, st, sst, nil
 }

@@ -75,18 +75,32 @@ func TestPlanChunksInvariants(t *testing.T) {
 	}
 }
 
-// TestScanStreamMatchesSerial is the out-of-core equivalence contract:
-// chunking is a memory-behaviour knob, so every field of every Result
-// and every work counter must be bit-identical to the resident serial
-// scan at any chunk size — the widest region (the minimum), double
+// streamCases returns the (chunkSNPs, threads) pairs the streamed
+// equivalence tests run: the widest region (the minimum chunk), double
 // that, a ragged size that never divides the input evenly, and the
-// default.
+// default, each at one, two and three threads.
+func streamCases(widest int) [][2]int {
+	var cases [][2]int
+	for _, chunkSNPs := range []int{0, widest, 2 * widest, widest + 13} {
+		for _, threads := range []int{1, 2, 3} {
+			cases = append(cases, [2]int{chunkSNPs, threads})
+		}
+	}
+	return cases
+}
+
+// TestScanStreamMatchesSerial is the out-of-core equivalence contract:
+// chunking and per-chunk sharding are memory and wall-clock knobs, so
+// every field of every Result and every work counter must be
+// bit-identical to the resident serial scan at any chunk size and
+// thread count (streamCases), and R2Computed − R2Duplicated must equal
+// the serial count.
 func TestScanStreamMatchesSerial(t *testing.T) {
 	a := streamAlignment(t, 400, 24, 71, 200000)
 	for _, engine := range []ld.Engine{ld.Direct, ld.GEMM} {
 		for _, gridSize := range []int{3, 16, 48} {
 			p := Params{GridSize: gridSize, MaxWindow: 15000}
-			serial, stS, err := Scan(a, p, engine, 1)
+			serial, stS, err := Scan(context.Background(), a, p, engine, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,38 +109,39 @@ func TestScanStreamMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			widest := maxRegionSpan(regions)
-			for _, chunkSNPs := range []int{0, widest, 2 * widest, widest + 13} {
+			for _, c := range streamCases(widest) {
+				chunkSNPs, threads := c[0], c[1]
 				src, err := seqio.NewAlignmentSource(a)
 				if err != nil {
 					t.Fatal(err)
 				}
-				results, st, sst, err := ScanStream(context.Background(), src, p, engine, 1, chunkSNPs, nil)
+				results, st, sst, err := ScanStream(context.Background(), src, p, engine, threads, chunkSNPs, nil)
 				if err != nil {
-					t.Fatalf("engine=%v grid=%d chunk=%d: %v", engine, gridSize, chunkSNPs, err)
+					t.Fatalf("engine=%v grid=%d chunk=%d threads=%d: %v", engine, gridSize, chunkSNPs, threads, err)
 				}
 				if len(results) != len(serial) {
-					t.Fatalf("engine=%v grid=%d chunk=%d: %d results, want %d",
-						engine, gridSize, chunkSNPs, len(results), len(serial))
+					t.Fatalf("engine=%v grid=%d chunk=%d threads=%d: %d results, want %d",
+						engine, gridSize, chunkSNPs, threads, len(results), len(serial))
 				}
 				for i := range results {
 					if results[i] != serial[i] {
-						t.Fatalf("engine=%v grid=%d chunk=%d: result[%d] = %+v, want %+v",
-							engine, gridSize, chunkSNPs, i, results[i], serial[i])
+						t.Fatalf("engine=%v grid=%d chunk=%d threads=%d: result[%d] = %+v, want %+v",
+							engine, gridSize, chunkSNPs, threads, i, results[i], serial[i])
 					}
 				}
 				if st.OmegaScores != stS.OmegaScores || st.Grid != stS.Grid {
-					t.Errorf("engine=%v grid=%d chunk=%d: stats drifted: %+v vs %+v",
-						engine, gridSize, chunkSNPs, st, stS)
+					t.Errorf("engine=%v grid=%d chunk=%d threads=%d: stats drifted: %+v vs %+v",
+						engine, gridSize, chunkSNPs, threads, st, stS)
 				}
 				if sst.Chunks < 1 {
-					t.Errorf("engine=%v grid=%d chunk=%d: StreamStats.Chunks = %d", engine, gridSize, chunkSNPs, sst.Chunks)
+					t.Errorf("engine=%v grid=%d chunk=%d threads=%d: StreamStats.Chunks = %d", engine, gridSize, chunkSNPs, threads, sst.Chunks)
 				}
-				// The duplication identity of sharded scans holds per chunk:
+				// The duplication identity holds per chunk and per shard:
 				// streamed work is serial work plus the reported boundary
 				// triangles.
 				if extra := st.R2Computed - stS.R2Computed; extra != st.R2Duplicated {
-					t.Errorf("engine=%v grid=%d chunk=%d: extra r² %d != duplicated %d",
-						engine, gridSize, chunkSNPs, extra, st.R2Duplicated)
+					t.Errorf("engine=%v grid=%d chunk=%d threads=%d: extra r² %d != duplicated %d",
+						engine, gridSize, chunkSNPs, threads, extra, st.R2Duplicated)
 				}
 			}
 		}
@@ -149,7 +164,7 @@ func TestScanStreamSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{GridSize: 20, MaxWindow: 10000}
-	serial, _, err := Scan(a, p, ld.Direct, 1)
+	serial, _, err := Scan(context.Background(), a, p, ld.Direct, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,40 +214,44 @@ func TestScanStreamCancellation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	t.Run("pre-cancelled", func(t *testing.T) {
-		src, err := seqio.NewAlignmentSource(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		results, _, _, err := ScanStream(ctx, src, p, ld.Direct, 1, 50, nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if results != nil {
-			t.Fatal("non-nil results from a cancelled stream scan")
+		for _, threads := range []int{1, 2, 3, 8} {
+			src, err := seqio.NewAlignmentSource(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			results, _, _, err := ScanStream(ctx, src, p, ld.Direct, threads, 50, nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("threads=%d: err = %v, want context.Canceled", threads, err)
+			}
+			if results != nil {
+				t.Fatalf("threads=%d: non-nil results from a cancelled stream scan", threads)
+			}
 		}
 	})
 
 	t.Run("mid-stream", func(t *testing.T) {
-		src, err := seqio.NewAlignmentSource(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(500 * time.Microsecond)
-			cancel()
-		}()
-		_, _, _, err = ScanStream(ctx, src, p, ld.Direct, 1, 30, nil)
-		// Timing-dependent: the scan may finish before the cancel lands.
-		if err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want nil or context.Canceled", err)
-		}
-		// Closing the source immediately after return must be safe: the
-		// loader has been joined.
-		if cerr := src.Close(); cerr != nil {
-			t.Fatal(cerr)
+		for _, threads := range []int{1, 2, 3, 8} {
+			src, err := seqio.NewAlignmentSource(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(500 * time.Microsecond)
+				cancel()
+			}()
+			_, _, _, err = ScanStream(ctx, src, p, ld.Direct, threads, 30, nil)
+			// Timing-dependent: the scan may finish before the cancel lands.
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("threads=%d: err = %v, want nil or context.Canceled", threads, err)
+			}
+			// Closing the source immediately after return must be safe:
+			// the loader and every shard worker have been joined.
+			if cerr := src.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
 		}
 	})
 

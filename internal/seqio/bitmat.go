@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"omegago/internal/bitvec"
 )
@@ -247,44 +246,6 @@ func WriteBitmatFile(path string, a *Alignment) error {
 		return err
 	}
 	return f.Close()
-}
-
-// WriteBitmatFileAtomic writes the alignment to path through a
-// temporary file in the same directory followed by a rename, so a
-// reader never observes a partially written bitmat file and a crash
-// mid-write leaves the previous content (or absence) intact. The
-// durable omegad blob store writes every dataset through this path.
-func WriteBitmatFileAtomic(path string, a *Alignment) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	if err := WriteBitmat(f, a); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // BitmatSize returns the exact on-disk size in bytes of the bitmat

@@ -87,6 +87,16 @@ func TestCacheKeyNormalizedAliases(t *testing.T) {
 	if c == a {
 		t.Error("distinct backends produced the same key")
 	}
+
+	// The retired scheduler field selects nothing: every spelling an
+	// old request may carry shares the entry of a request without it —
+	// which is also the key such a default request has always had.
+	plain := cacheKey(hash, api.ScanParams{Threads: 2}, api.KindScan)
+	for _, sched := range []string{"", "auto", "snapshot", "sharded"} {
+		if got := cacheKey(hash, normalize(api.ScanParams{Threads: 2, Scheduler: sched}), api.KindScan); got != plain {
+			t.Errorf("scheduler %q normalized to a different key", sched)
+		}
+	}
 }
 
 // TestCacheKeyFlippedBit: flipping a single allele bit changes the

@@ -22,7 +22,7 @@ type Span struct {
 	Duration time.Duration
 	// Track is the logical thread lane the span renders on in the trace
 	// viewer (Chrome "tid"). Zero means the default lane. Concurrent
-	// workers — e.g. the shards of omega.ScanSharded — should use
+	// workers — e.g. the shards of a multithreaded omega.Scan — should use
 	// distinct tracks so their LD/ω overlap is visible in Perfetto.
 	Track int
 	// Args carries free-form metadata shown in the trace viewer.
@@ -79,7 +79,7 @@ func (t *Tracer) BeginOn(track int, name string) func(args map[string]any) {
 
 // OnPhase implements obs.Observer: every Phase event a scan emits
 // becomes a span, so passing a Tracer as the scan's Observer records
-// the per-region LD/ω stages (and, with the sharded scheduler, the
+// the per-region LD/ω stages (and, for a multithreaded scan, the
 // per-shard lanes) without any engine knowing about tracing. This is
 // how the pre-obs Tracer hook is absorbed into the Observer surface.
 func (t *Tracer) OnPhase(p obs.Phase) {

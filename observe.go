@@ -12,7 +12,7 @@ import (
 // completed span of work. Set Config.Observer to watch a scan;
 // ScanBatch aggregates progress across its worker pool into the same
 // stream. Implementations must be safe for concurrent use — parallel
-// schedulers and batch workers deliver callbacks from many goroutines.
+// scan shards and batch workers deliver callbacks from many goroutines.
 //
 // A *Tracer is an Observer: passing one as Config.Observer records
 // every Phase as a Chrome-trace span (the pre-redesign Config.Tracer
@@ -31,9 +31,8 @@ type Phase = obs.Phase
 
 // Well-known Phase names emitted by every backend's scan loop.
 const (
-	PhaseLD       = obs.PhaseLD
-	PhaseOmega    = obs.PhaseOmega
-	PhaseSnapshot = obs.PhaseSnapshot
+	PhaseLD    = obs.PhaseLD
+	PhaseOmega = obs.PhaseOmega
 )
 
 // Registry holds named metrics and serves them in the Prometheus text

@@ -17,7 +17,7 @@ import (
 )
 
 // recObs records every Progress/Phase event under a mutex (observers
-// must be concurrency-safe; parallel schedulers and batch workers
+// must be concurrency-safe; parallel scan shards and batch workers
 // deliver from many goroutines).
 type recObs struct {
 	mu       sync.Mutex
@@ -108,21 +108,21 @@ func TestObsProgressAllBackends(t *testing.T) {
 		t.Errorf("backends disagree on total ω scores: %v", scores)
 	}
 
-	// Concurrent CPU schedulers: callback order is not monotone, but no
+	// Concurrent CPU shards: callback order is not monotone, but no
 	// event may overshoot and the counters must converge to the same
 	// totals.
-	for _, sched := range []omegago.Scheduler{omegago.SchedSnapshot, omegago.SchedSharded} {
+	for _, threads := range []int{2, 3, 8} {
 		rec := &recObs{}
 		rep, err := omegago.Scan(ds, omegago.Config{
-			GridSize: grid, MaxWindow: 40000, Threads: 3, Sched: sched, Observer: rec,
+			GridSize: grid, MaxWindow: 40000, Threads: threads, Observer: rec,
 		})
 		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
+			t.Fatalf("threads=%d: %v", threads, err)
 		}
 		var maxDone, maxScores int64
 		for _, p := range rec.events() {
 			if p.GridDone > grid {
-				t.Fatalf("%v: GridDone %d exceeds the grid", sched, p.GridDone)
+				t.Fatalf("threads=%d: GridDone %d exceeds the grid", threads, p.GridDone)
 			}
 			if p.GridDone > maxDone {
 				maxDone = p.GridDone
@@ -132,23 +132,23 @@ func TestObsProgressAllBackends(t *testing.T) {
 			}
 		}
 		if maxDone != grid {
-			t.Errorf("%v: max GridDone %d, want %d", sched, maxDone, grid)
+			t.Errorf("threads=%d: max GridDone %d, want %d", threads, maxDone, grid)
 		}
 		if maxScores != rep.OmegaScores {
-			t.Errorf("%v: observed %d ω scores, report says %d", sched, maxScores, rep.OmegaScores)
+			t.Errorf("threads=%d: observed %d ω scores, report says %d", threads, maxScores, rep.OmegaScores)
 		}
 	}
 }
 
 // TestObsTracerReceivesPhases pins the Tracer absorption: a Tracer set
-// as Config.Observer records the per-region LD/ω phases, and the
-// sharded scheduler renders each shard on its own lane (track ≥ 2)
+// as Config.Observer records the per-region LD/ω phases, and a
+// multithreaded scan renders each shard on its own lane (track ≥ 2)
 // exactly as the old Tracer hook did.
 func TestObsTracerReceivesPhases(t *testing.T) {
 	ds := batchDatasets(t, 1, 902)[0]
 	tr := omegago.NewTracer()
 	_, err := omegago.Scan(ds, omegago.Config{
-		GridSize: 16, MaxWindow: 40000, Threads: 3, Sched: omegago.SchedSharded, Observer: tr,
+		GridSize: 16, MaxWindow: 40000, Threads: 3, Observer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package omegago_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"omegago"
@@ -10,13 +12,13 @@ import (
 	"omegago/internal/seqio"
 )
 
-// TestGoldenSchedulerEquivalence asserts the scheduler contract on the
-// repository's golden datasets: Scan (serial), ScanParallel (snapshot
-// scheduler) and ScanSharded (per-shard DP matrices) must return
-// identical []Result — ω values, borders, positions, validity and score
-// counts, compared with struct equality, i.e. bitwise for the floats —
-// at thread counts {1, 2, 3, 8}, including grids smaller than the
-// thread count.
+// TestGoldenSchedulerEquivalence asserts the engine contract on the
+// repository's golden datasets: the resident Scan and the streamed
+// ScanStream must return the serial scan's []Result — ω values,
+// borders, positions, validity and score counts, compared with struct
+// equality, i.e. bitwise for the floats — at thread counts
+// {1, 2, 3, 8}, including grids smaller than the thread count, and
+// R2Computed − R2Duplicated must equal the serial r² count.
 func TestGoldenSchedulerEquivalence(t *testing.T) {
 	goldenSim, err := omegago.Simulate(omegago.SimConfig{
 		SampleSize: 32, Replicates: 1, SegSites: 400, Rho: 120, Seed: 20260706,
@@ -43,32 +45,42 @@ func TestGoldenSchedulerEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, _, err := omega.Scan(tc.a, tc.p, ld.Direct, 1)
+			ctx := context.Background()
+			serial, stS, err := omega.Scan(ctx, tc.a, tc.p, ld.Direct, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, threads := range threadCounts {
-				snapshot, _, err := omega.ScanParallel(tc.a, tc.p, ld.Direct, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded, _, err := omega.ScanSharded(tc.a, tc.p, ld.Direct, threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(snapshot) != len(serial) || len(sharded) != len(serial) {
-					t.Fatalf("threads=%d: result lengths %d/%d, want %d",
-						threads, len(snapshot), len(sharded), len(serial))
+			check := func(path string, threads int, got []omega.Result, st omega.Stats) {
+				t.Helper()
+				if len(got) != len(serial) {
+					t.Fatalf("%s threads=%d: %d results, want %d", path, threads, len(got), len(serial))
 				}
 				for i := range serial {
-					if snapshot[i] != serial[i] {
-						t.Fatalf("threads=%d: snapshot result[%d] = %+v, want %+v",
-							threads, i, snapshot[i], serial[i])
+					if got[i] != serial[i] {
+						t.Fatalf("%s threads=%d: result[%d] = %+v, want %+v", path, threads, i, got[i], serial[i])
 					}
-					if sharded[i] != serial[i] {
-						t.Fatalf("threads=%d: sharded result[%d] = %+v, want %+v",
-							threads, i, sharded[i], serial[i])
+				}
+				if st.R2Computed-st.R2Duplicated != stS.R2Computed {
+					t.Errorf("%s threads=%d: r² computed %d − duplicated %d ≠ serial %d",
+						path, threads, st.R2Computed, st.R2Duplicated, stS.R2Computed)
+				}
+			}
+			for _, threads := range threadCounts {
+				resident, st, err := omega.Scan(ctx, tc.a, tc.p, ld.Direct, threads, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("resident", threads, resident, st)
+				for _, chunkSNPs := range []int{0, 150} {
+					src, err := seqio.NewAlignmentSource(tc.a)
+					if err != nil {
+						t.Fatal(err)
 					}
+					streamed, st, _, err := omega.ScanStream(ctx, src, tc.p, ld.Direct, threads, chunkSNPs, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("stream/chunk%d", chunkSNPs), threads, streamed, st)
 				}
 			}
 		})
@@ -76,8 +88,9 @@ func TestGoldenSchedulerEquivalence(t *testing.T) {
 }
 
 // TestSchedulerConfigEquivalence drives the same contract through the
-// public API: every Config.Sched value must reproduce the serial scan's
-// report exactly.
+// public API: every thread count, resident or streamed, and every
+// retired scheduler spelling a request may still carry must reproduce
+// the serial scan's report exactly.
 func TestSchedulerConfigEquivalence(t *testing.T) {
 	ds, err := omegago.Simulate(omegago.SimConfig{
 		SampleSize: 24, Replicates: 1, SegSites: 300, Rho: 60, Seed: 99,
@@ -90,25 +103,42 @@ func TestSchedulerConfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []omegago.Scheduler{omegago.SchedAuto, omegago.SchedSnapshot, omegago.SchedSharded} {
-		cfg := base
-		cfg.Threads = 4
-		cfg.Sched = sched
-		got, err := omegago.Scan(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Results {
-			if got.Results[i] != want.Results[i] {
-				t.Fatalf("sched=%v: result[%d] = %+v, want %+v",
-					sched, i, got.Results[i], want.Results[i])
+	for _, threads := range []int{1, 2, 3, 8} {
+		for _, sched := range []string{"", "auto", "snapshot", "sharded"} {
+			params := omegago.ParamsFromConfig(base)
+			params.Threads, params.Scheduler = threads, sched
+			cfg, err := omegago.ConfigFromParams(params)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got.OmegaScores != want.OmegaScores {
-			t.Errorf("sched=%v: %d ω scores, want %d", sched, got.OmegaScores, want.OmegaScores)
-		}
-		if sched == omegago.SchedSnapshot && got.R2Duplicated != 0 {
-			t.Errorf("snapshot scheduler reported %d duplicated r²", got.R2Duplicated)
+			got, err := omegago.Scan(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := omegago.NewDatasetSource(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := omegago.ScanStream(src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, rep := range map[string]*omegago.Report{"resident": got, "stream": streamed} {
+				for i := range want.Results {
+					if rep.Results[i] != want.Results[i] {
+						t.Fatalf("%s threads=%d sched=%q: result[%d] = %+v, want %+v",
+							name, threads, sched, i, rep.Results[i], want.Results[i])
+					}
+				}
+				if rep.OmegaScores != want.OmegaScores {
+					t.Errorf("%s threads=%d sched=%q: %d ω scores, want %d",
+						name, threads, sched, rep.OmegaScores, want.OmegaScores)
+				}
+				if rep.R2Computed-rep.R2Duplicated != want.R2Computed {
+					t.Errorf("%s threads=%d sched=%q: r² computed %d − duplicated %d ≠ serial %d",
+						name, threads, sched, rep.R2Computed, rep.R2Duplicated, want.R2Computed)
+				}
+			}
 		}
 	}
 }

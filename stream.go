@@ -94,15 +94,16 @@ func ScanStream(src ChunkSource, cfg Config) (*Report, error) {
 // ScanStreamContext runs an out-of-core sweep scan: src is read in
 // overlapping chunks sized to the widest grid region (override with
 // Config.ChunkSNPs), the loader parses the next chunk while the current
-// one is scanned, and only the live DP band stays resident. Results are
+// one is scanned, and only the live chunk's DP bands stay resident. Results are
 // bit-identical to ScanContext over the same data — chunking changes
 // memory behaviour, not a single reported value.
 //
 // Only BackendCPU supports streamed input (the simulated accelerators'
 // transfer models assume a resident alignment); any other backend
-// returns an error matching ErrStreamUnsupported. Config.Threads feeds
-// the LD stage's workers — the grid itself is scanned in order, chunk
-// by chunk. The caller retains ownership of src and should Close it
+// returns an error matching ErrStreamUnsupported. Chunks are scanned in
+// order; Config.Threads cuts each chunk into that many cost-balanced
+// shards scanned in parallel. The caller retains ownership of src and
+// should Close it
 // after the scan; ScanStreamContext never reads from src after it
 // returns, even on cancellation.
 func ScanStreamContext(ctx context.Context, src ChunkSource, cfg Config) (*Report, error) {

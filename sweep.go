@@ -48,53 +48,11 @@ import (
 // Tracer collects hierarchical timing spans of a scan and exports them
 // in the Chrome trace-event format (see cmd/omegago's -trace flag). A
 // Tracer is an Observer: set Config.Observer to capture per-phase —
-// and, with the sharded scheduler, per-shard — spans of a scan.
+// and, with Threads > 1, per-shard — spans of a scan.
 type Tracer = trace.Tracer
 
 // NewTracer starts a Tracer whose timestamps are relative to now.
 func NewTracer() *Tracer { return trace.NewTracer() }
-
-// Scheduler selects how the CPU backend parallelizes a multithreaded
-// scan. The schedulers differ only in wall-clock behaviour: results are
-// bit-identical across all of them (and to the serial scan).
-type Scheduler int
-
-const (
-	// SchedAuto picks SchedSharded when the grid is large enough to
-	// amortize the per-shard boundary recomputation (grid ≥ 4·threads),
-	// and SchedSnapshot otherwise. The default.
-	SchedAuto Scheduler = iota
-	// SchedSnapshot is the OmegaPlus-G style producer/consumer pipeline
-	// (omega.ScanParallel): one producer slides a single DP matrix and
-	// workers score immutable snapshots. LD remains serial.
-	SchedSnapshot
-	// SchedSharded partitions the grid into contiguous shards with a
-	// private DP matrix each (omega.ScanSharded): LD and ω both run in
-	// parallel, at the cost of duplicated r² at shard boundaries
-	// (reported as Report.R2Duplicated).
-	SchedSharded
-)
-
-// schedNames is the Scheduler name table; String, ParseScheduler and
-// Validate all derive from it so the CLI, the api wire package and the
-// omegad service cannot drift on spellings.
-var schedNames = names.New[Scheduler]("scheduler", "Scheduler",
-	"auto", "snapshot", "sharded")
-
-// String implements fmt.Stringer.
-func (s Scheduler) String() string { return schedNames.String(s) }
-
-// ParseScheduler resolves a scheduler name as printed by
-// Scheduler.String ("auto", "snapshot", "sharded"). It is the inverse
-// of String over every defined scheduler; the CLI's -sched flag parses
-// through it.
-func ParseScheduler(name string) (Scheduler, error) {
-	s, err := schedNames.Parse(name)
-	if err != nil {
-		return SchedAuto, fmt.Errorf("omegago: %w", err)
-	}
-	return s, nil
-}
 
 // OmegaKernel selects the CPU ω-kernel implementation of a scan. All
 // kernels are bit-identical; they differ only in throughput and in how
@@ -183,12 +141,10 @@ type Config struct {
 	// MaxSNPsPerSide caps the SNPs per sub-window (default unbounded),
 	// bounding both the ω workload and the DP matrix memory.
 	MaxSNPsPerSide int
-	// Threads parallelizes the CPU backend across grid positions
-	// (default 1).
+	// Threads parallelizes the CPU backend (default 1): the grid — or,
+	// for ScanStream, each chunk — is cut into Threads cost-balanced
+	// shards scanned in parallel.
 	Threads int
-	// Sched selects the CPU multithreading scheduler (default SchedAuto;
-	// ignored when Threads ≤ 1 or the backend is not BackendCPU).
-	Sched Scheduler
 	// OmegaKernel selects the CPU ω kernel (default OmegaKernelAuto:
 	// per-region scalar/blocked dispatch on workload size). Ignored by
 	// the accelerator backends, which always run the packed-buffer path.
@@ -260,8 +216,9 @@ type Report struct {
 	OmegaScores int64
 	R2Computed  int64
 	R2Reused    int64
-	// R2Duplicated counts r² values recomputed at shard boundaries by
-	// the sharded scheduler (a subset of R2Computed); zero otherwise.
+	// R2Duplicated counts r² values recomputed at shard and streamed-
+	// chunk boundaries (a subset of R2Computed); zero for a
+	// single-threaded resident scan.
 	R2Duplicated int64
 	// LDSeconds / OmegaSeconds split the runtime between the two phases.
 	// For the CPU backend these are measured; for accelerator backends
@@ -269,10 +226,6 @@ type Report struct {
 	// functional simulation is WallSeconds).
 	LDSeconds    float64
 	OmegaSeconds float64
-	// SnapshotSeconds is the DP-matrix snapshot-copying overhead of the
-	// snapshot scheduler, kept out of LDSeconds so the Fig. 14 LD/ω
-	// split stays comparable to the serial profile.
-	SnapshotSeconds float64
 	// WallSeconds is the measured wall-clock time of the scan.
 	WallSeconds float64
 	// OmegaKernelScalar / OmegaKernelBlocked count grid regions per CPU
@@ -322,7 +275,6 @@ func (r *Report) Best() (Result, bool) { return omega.MaxResult(r.Results) }
 func (c Config) execOptions(mt *obs.Meter) exec.Options {
 	return exec.Options{
 		Threads:     c.Threads,
-		Sched:       exec.Scheduler(c.Sched),
 		UseGEMMLD:   c.UseGEMMLD,
 		OmegaKernel: c.OmegaKernel,
 		OmegaNthr:   c.KernelNthr,
@@ -354,8 +306,8 @@ func Scan(ds *Dataset, cfg Config) (*Report, error) {
 
 // ScanContext runs LD-based selective sweep detection over a dataset,
 // honouring ctx: cancellation or an expired deadline aborts the scan
-// within one grid position of work on every backend — CPU schedulers
-// included — returning ctx.Err() and leaking no goroutines.
+// within one grid position of work on every backend — parallel CPU
+// shards included — returning ctx.Err() and leaking no goroutines.
 //
 // The configuration is checked by Config.Validate exactly once (errors
 // match ErrBadGrid / ErrUnknownBackend via errors.Is; an empty dataset
@@ -410,7 +362,6 @@ func scanResolved(ctx context.Context, ds *Dataset, cfg Config, p omega.Params, 
 		OmegaScores: st.OmegaScores, R2Computed: st.R2Computed, R2Reused: st.R2Reused,
 		R2Duplicated: st.R2Duplicated,
 		LDSeconds:    st.LDSeconds, OmegaSeconds: st.OmegaSeconds,
-		SnapshotSeconds:   st.SnapshotSeconds,
 		WallSeconds:       time.Since(t0).Seconds(),
 		OmegaKernelScalar: st.OmegaKernelScalar, OmegaKernelBlocked: st.OmegaKernelBlocked,
 		StreamChunks: st.StreamChunks, StreamBytesRead: st.StreamBytesRead,
