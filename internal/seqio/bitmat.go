@@ -291,6 +291,19 @@ func parseBitmat(data []byte) (*bitmatFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bound the header's counts by the bytes actually present before any
+	// layout arithmetic or allocation: a crafted count could otherwise
+	// wrap the int64 offsets into a self-consistent layout (2^61 SNPs put
+	// the rows back at the header size) and size a huge make.
+	body := int64(len(data)) - BitmatHeaderSize
+	if int64(hdr.snpCount) > body/8 {
+		return nil, fmt.Errorf("seqio: bitmat header claims %d SNPs, but the %d-byte body holds at most %d positions",
+			hdr.snpCount, body, body/8)
+	}
+	if hdr.snpCount > 0 && int64(hdr.wordsPerRow) > (body-8*int64(hdr.snpCount))/(8*int64(hdr.snpCount)) {
+		return nil, fmt.Errorf("seqio: bitmat header claims %d words per row × %d SNPs, more than the %d-byte body holds",
+			hdr.wordsPerRow, hdr.snpCount, body)
+	}
 	rowsOff, maskOff, fixedSize := bitmatLayout(hdr.snpCount, hdr.wordsPerRow, hdr.flags&BitmatFlagMasks != 0)
 	if hdr.rowsOffset != rowsOff {
 		return nil, fmt.Errorf("seqio: bitmat rows offset %d, want %d", hdr.rowsOffset, rowsOff)

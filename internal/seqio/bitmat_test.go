@@ -2,6 +2,8 @@ package seqio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +16,7 @@ import (
 // bitmatAlignment builds a deterministic random alignment; withMasks
 // gives roughly a quarter of the SNPs a validity mask (exercising the
 // compact mask section).
-func bitmatAlignment(t *testing.T, rng *rand.Rand, snps, samples int, withMasks bool) *Alignment {
+func bitmatAlignment(t testing.TB, rng *rand.Rand, snps, samples int, withMasks bool) *Alignment {
 	t.Helper()
 	m := bitvec.NewMatrix(samples)
 	pos := make([]float64, snps)
@@ -139,6 +141,49 @@ func TestBitmatCorruptionDetected(t *testing.T) {
 	b[12] |= 0x80 // flags word at [12:16], bit 7 unassigned
 	if _, err := ReadBitmat(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "flag") {
 		t.Errorf("unknown flags: err = %v, want flag error", err)
+	}
+}
+
+// overflowBitmatHeader is a complete 104-byte bitmat file whose header
+// claims 2^61 SNPs over 0 samples. 8·2^61 wraps the int64 layout
+// arithmetic back to zero, so rows_offset 104 looks consistent, and the
+// content hash (over the header alone) is genuine.
+func overflowBitmatHeader() []byte {
+	b := make([]byte, BitmatHeaderSize)
+	copy(b, BitmatMagic)
+	binary.LittleEndian.PutUint32(b[8:12], BitmatHeaderSize)
+	binary.LittleEndian.PutUint64(b[16:24], 1<<61)
+	binary.LittleEndian.PutUint64(b[48:56], BitmatHeaderSize)
+	sum := sha256.Sum256(b[:bitmatHashOffset])
+	copy(b[bitmatHashOffset:], sum[:])
+	return b
+}
+
+// A header whose counts overflow the layout arithmetic is rejected
+// before anything is sized from it (it used to panic in makeslice).
+func TestBitmatRejectsOverflowingHeader(t *testing.T) {
+	data := overflowBitmatHeader()
+	if _, err := ReadBitmat(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Errorf("ReadBitmat: err = %v, want a header-count error", err)
+	}
+	path := filepath.Join(t.TempDir(), "overflow.bitmat")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if src, err := OpenBitmat(path); err == nil {
+		src.Close()
+		t.Error("OpenBitmat accepted the overflowing header")
+	}
+
+	// The per-row bound: a plausible SNP count with a words-per-row
+	// (and matching sample count) far beyond the body.
+	b := append([]byte(nil), data...)
+	b = append(b, make([]byte, 8)...) // one position
+	binary.LittleEndian.PutUint64(b[16:24], 1)
+	binary.LittleEndian.PutUint64(b[24:32], 1<<62)
+	binary.LittleEndian.PutUint64(b[40:48], 1<<56)
+	if _, err := ReadBitmat(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "words per row") {
+		t.Errorf("oversized rows: err = %v, want a words-per-row error", err)
 	}
 }
 

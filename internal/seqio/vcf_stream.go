@@ -7,13 +7,19 @@ import (
 )
 
 // VCFSource streams a VCF file in SNP chunks with two passes over the
-// text: the constructor's metadata pass decodes every record once to
-// collect the positions table (and validate the file exactly as
+// text, both through the allocation-free byte-level decoder behind
+// ParseVCF: the constructor's metadata pass decodes every record once
+// to collect the positions table (and validate the file exactly as
 // ParseVCF would), then chunks are served from a second, incremental
 // pass that packs each record's bit row at most once — rows shared by
 // overlapping chunks are reused, so allele compression work equals the
 // SNP count, not the sum of chunk sizes. Only the live chunk's rows are
 // resident; the text is never held in memory.
+//
+// Each pass runs at about 150 MiB/s of VCF text on a 2-vCPU Xeon VM
+// (perfbench stream-vcf: a 4.4 MiB, 100-haplotype × 20,000-SNP file
+// opens in ~30 ms). A file scanned more than once is still cheaper as
+// bitmat, which skips parsing and packing altogether.
 type VCFSource struct {
 	path    string
 	meta    StreamMeta
@@ -31,7 +37,8 @@ type VCFSource struct {
 
 // OpenVCFSource opens a VCF file (plain or .gz) for chunked scanning.
 // The whole file is decoded once up front for the positions table and
-// validation; failures surface the same errors as ParseVCF.
+// validation, by the same decoder the chunk pass uses; failures surface
+// the same errors as ParseVCF.
 func OpenVCFSource(path string) (*VCFSource, error) {
 	r, closeFn, err := OpenMaybeGzip(path)
 	if err != nil {
@@ -102,7 +109,7 @@ func (s *VCFSource) ReadChunk(lo, hi int) (*Alignment, ChunkStats, error) {
 		if err != nil {
 			return nil, ChunkStats{}, err
 		}
-		row, mask := vcfAlleleRow(rec.alleles, s.meta.Samples)
+		row, mask := rec.pack(s.meta.Samples)
 		rows = append(rows, row)
 		masks = append(masks, mask)
 		st.CompressedSNPs++

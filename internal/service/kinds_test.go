@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
@@ -194,6 +196,24 @@ func TestKindValidation(t *testing.T) {
 		Dataset: api.DatasetRef{BitmatBase64: upload},
 		Params:  api.ScanParams{Backend: "gpu-sim"},
 	})
+	check("overflowing bitmat header", http.StatusBadRequest, api.CodeInput, api.ScanRequest{
+		Schema:  api.SchemaVersion,
+		Dataset: api.DatasetRef{BitmatBase64: base64.StdEncoding.EncodeToString(overflowBitmat())},
+	})
+}
+
+// overflowBitmat is a 104-byte bitmat upload with a genuine content
+// hash whose header claims 2^61 SNPs over 0 samples — counts that wrap
+// the reader's layout arithmetic into a self-consistent header.
+func overflowBitmat() []byte {
+	b := make([]byte, 104)
+	copy(b, "OMGBMAT1")
+	binary.LittleEndian.PutUint32(b[8:12], 104)
+	binary.LittleEndian.PutUint64(b[16:24], 1<<61)
+	binary.LittleEndian.PutUint64(b[48:56], 104)
+	sum := sha256.Sum256(b[:72])
+	copy(b[72:], sum[:])
+	return b
 }
 
 // TestBatchSingleRefIsOneReplicateBatch: a batch job with a plain
